@@ -262,6 +262,7 @@ let run ?(smoke = false) () =
                                   fs.Precompile.fs_run_hist) );
                            ("spec_loops", J.Int fs.Precompile.fs_spec_loops);
                            ("batched_loops", J.Int fs.Precompile.fs_batched_loops);
+                           ("strip_loops", J.Int fs.Precompile.fs_strip_loops);
                            ( "inlined_kernels",
                              J.Int fs.Precompile.fs_inlined_kernels );
                            (* why the rest never fused: blocking reason

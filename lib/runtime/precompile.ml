@@ -81,6 +81,9 @@ type machine = {
   (* reusable payload/scratch buffers of the inlined kernel path *)
   mutable m_kbuf : float array;
   mutable m_ktmp : float array;
+  (* strip-kernel scratch: slot 0 holds the invariant scalars, slots
+     1.. the intermediate columns *)
+  mutable m_sbuf : float array array;
 }
 
 type act = A_next | A_block of units | A_loop of loop
@@ -286,6 +289,10 @@ type ctx = {
      bodies. *)
   mutable quiet : bool;
   mutable qtally : Costmodel.tally;
+  (* While [Some], every element read records (array, subscripts,
+     site): the strip form looks up the sites its fallback body
+     allocated. *)
+  mutable read_log : (string * expr list * int) list option;
   (* fusion statistics (static, accumulated during compilation) *)
   mutable fs_total : int; (* statements compiled *)
   mutable fs_fusable : int; (* statements with a fused form *)
@@ -293,6 +300,7 @@ type ctx = {
   mutable fs_run_hist : (int * int) list; (* run length -> count, unsorted *)
   mutable fs_loops : int; (* natively specialized loop statements *)
   mutable fs_batched : int; (* loops charging one batched tally *)
+  mutable fs_strips : int; (* batched loops with a strip form *)
   mutable fs_kernels : int; (* inlined kernel call sites *)
   mutable fs_blockers : (string * int) list; (* blocking reason -> count *)
 }
@@ -861,9 +869,8 @@ and cvd ctx e =
    whole fill is one closure over an array of compiled subscripts —
    costs fold into the static head exactly as the combinator chain
    would fold them, so charges are unchanged. *)
-and c_fill ctx k idxs = c_fill2 ctx k (List.map (fun e -> c_idx ctx e) idxs)
-
-and c_fill2 ctx k (ces : int frag list) =
+and c_fill ctx k idxs =
+  let ces = List.map (fun e -> c_idx ctx e) idxs in
   if List.for_all (fun (c : int frag) -> not c.ab) ces then begin
     let cost =
       List.fold_left
@@ -898,93 +905,21 @@ and c_fill2 ctx k (ces : int frag list) =
     fill 0 ces
 
 (* Element read: subscripts evaluate into the site's scratch buffer
-   (charging as they go), one memory charge, then the cached read.
-   Rank-1/2 reads with non-abortable subscripts — every stencil
-   reference — compile to a single closure with the offset arithmetic
-   of [site_off] unrolled inline; the scratch buffer is only filled on
-   the slow path, whose diagnostics need it. *)
+   (charging as they go), one memory charge, then the cached read. *)
 and celem ctx arr idxs =
   let k = new_site ctx (List.length idxs) in
-  let ces = List.map (fun e -> c_idx ctx e) idxs in
-  let specialized =
-    match ces with
-    | [ c0 ] when not c0.ab ->
-        let r0 = c0.run in
-        Some
-          {
-            cost = c0.cost;
-            ab = false;
-            run =
-              (fun m ->
-                let i = r0 m in
-                let s = m.m_sites.(k) in
-                if s.s_gen = Symtab.generation m.m_w.w_st then begin
-                  let k0 = i - Array.unsafe_get s.s_lo 0 in
-                  let st0 = Array.unsafe_get s.s_stride 0 in
-                  if k0 >= 0 && i <= Array.unsafe_get s.s_hi 0
-                     && k0 mod st0 = 0
-                  then Array.unsafe_get s.s_data (k0 / st0)
-                  else begin
-                    s.s_idx.(0) <- i;
-                    slow_read m s arr
-                  end
-                end
-                else begin
-                  s.s_idx.(0) <- i;
-                  slow_read m s arr
-                end);
-          }
-    | [ c0; c1 ] when (not c0.ab) && not c1.ab ->
-        let r0 = c0.run and r1 = c1.run in
-        Some
-          {
-            cost = Costmodel.tally_add c0.cost c1.cost;
-            ab = false;
-            run =
-              (fun m ->
-                let i = r0 m in
-                let j = r1 m in
-                let s = m.m_sites.(k) in
-                if s.s_gen = Symtab.generation m.m_w.w_st then begin
-                  let k0 = i - Array.unsafe_get s.s_lo 0 in
-                  let k1 = j - Array.unsafe_get s.s_lo 1 in
-                  let st0 = Array.unsafe_get s.s_stride 0 in
-                  let st1 = Array.unsafe_get s.s_stride 1 in
-                  if
-                    k0 >= 0 && k1 >= 0
-                    && i <= Array.unsafe_get s.s_hi 0
-                    && j <= Array.unsafe_get s.s_hi 1
-                    && k0 mod st0 = 0
-                    && k1 mod st1 = 0
-                  then
-                    Array.unsafe_get s.s_data
-                      ((k0 / st0 * Array.unsafe_get s.s_cnt 1) + (k1 / st1))
-                  else begin
-                    s.s_idx.(0) <- i;
-                    s.s_idx.(1) <- j;
-                    slow_read m s arr
-                  end
-                end
-                else begin
-                  s.s_idx.(0) <- i;
-                  s.s_idx.(1) <- j;
-                  slow_read m s arr
-                end);
-          }
-    | _ -> None
-  in
-  match specialized with
-  | Some base -> { (post ctx Costmodel.tally_mem base) with ab = true }
-  | None ->
-      let filled = post ctx Costmodel.tally_mem (c_fill2 ctx k ces) in
-      {
-        cost = filled.cost;
-        ab = true;
-        run =
-          (fun m ->
-            filled.run m;
-            read_site m k arr);
-      }
+  Option.iter
+    (fun log -> ctx.read_log <- Some ((arr, idxs, k) :: log))
+    ctx.read_log;
+  let filled = post ctx Costmodel.tally_mem (c_fill ctx k idxs) in
+  {
+    cost = filled.cost;
+    ab = true;
+    run =
+      (fun m ->
+        filled.run m;
+        read_site m k arr);
+  }
 
 (* Section resolution.  Per-dimension selectors evaluate left to
    right; inside a Slice the interpreter's [Triplet.make ~lo ~hi
@@ -1143,15 +1078,372 @@ let compile_elem_assign ctx a idxs e =
    the runner charges nothing, the returned tally is its exact
    per-execution cost (valid because the caller checked
    [fixed_cost_e] on every subexpression). *)
-let quiet_elem_assign ctx a idxs e =
+let quietly ctx f =
   assert (not ctx.quiet);
   ctx.quiet <- true;
   ctx.qtally <- Costmodel.tally_zero;
-  let run = compile_elem_assign ctx a idxs e in
+  let r = f () in
   let t = ctx.qtally in
   ctx.quiet <- false;
   ctx.qtally <- Costmodel.tally_zero;
-  (run, t)
+  (r, t)
+
+let quiet_elem_assign ctx a idxs e =
+  quietly ctx (fun () -> compile_elem_assign ctx a idxs e)
+
+(* ------------------------------------------------------------------ *)
+(* Strip kernels (DESIGN.md §4d).  A batched loop whose store and reads
+   all have subscripts affine in the loop variable ([v], [v ± c], or
+   loop-invariant) runs a whole trip column-at-a-time: each node of the
+   right-hand side's float tree becomes one tight loop over unboxed
+   floats.  Before touching any element the strip proves that every
+   access stays inside the one segment its inline cache holds, with
+   unit segment stride; the only side effects of that probe are cache
+   fills, each behind the slow paths' [Symtab.owned_element] test.  Any
+   doubt falls back to the per-element loop, which raises exactly the
+   usual diagnostics.  Each element goes through the same IEEE
+   operations on the same operands in the same order as in the
+   per-element loop (OCaml never contracts into FMAs), so results stay
+   bit-identical. *)
+
+type sub = Sub_var of int (* v + c *) | Sub_inv of (machine -> int)
+
+(* One element access of the strip: the site its fallback body
+   allocated, and per-dimension subscripts. *)
+type sacc = { sa_k : int; sa_arr : string; sa_subs : sub array }
+
+type skind = K_copy | K_neg | K_add | K_sub | K_mul | K_div | K_min | K_max
+
+type stree =
+  | T_scal of int
+  | T_read of int
+  | T_un of skind * stree
+  | T_bin of skind * stree * stree
+
+(* Where an operation reads or writes element t: access j at its probed
+   base + t * delta (access 0 is the store), column register r at t, or
+   invariant scalar j for every t. *)
+type sopnd = O_acc of int | O_reg of int | O_scal of int
+
+type sop = { so_k : skind; so_dst : sopnd; so_a : sopnd; so_b : sopnd }
+
+type strip = {
+  sp_accs : sacc array;
+  sp_scals : (machine -> float) array;
+  sp_ops : sop array;
+  sp_nregs : int;
+}
+
+(* Columns by depth: a node computes into the first free register (in
+   place over an operand already there); the root's operation writes
+   the store itself, and nothing else does. *)
+let lower_tree t =
+  let ops = ref [] and nregs = ref 0 in
+  let emit k f a b =
+    nregs := max !nregs f;
+    ops := { so_k = k; so_dst = O_reg f; so_a = a; so_b = b } :: !ops;
+    O_reg f
+  in
+  let rec go t f =
+    match t with
+    | T_scal j -> O_scal j
+    | T_read j -> O_acc j
+    | T_un (k, a) ->
+        let oa = go a f in
+        emit k f oa oa
+    | T_bin (k, a, b) ->
+        let oa = go a f in
+        let ob = go b (if oa = O_reg f then f + 1 else f) in
+        emit k f oa ob
+  in
+  (match (go t 1, !ops) with
+  | O_reg _, root :: rest -> ops := { root with so_dst = O_acc 0 } :: rest
+  | o, _ -> ops := [ { so_k = K_copy; so_dst = O_acc 0; so_a = o; so_b = o } ]);
+  (Array.of_list (List.rev !ops), !nregs)
+
+(* The strip form of loop [var]'s body [a(idxs) := e], or [None].  Must
+   compile quietly, right after the body itself: [store_k] is the
+   body's store site and [log] its element reads' sites. *)
+let strip_form ctx var ~store_k ~log a idxs e =
+  let rec invariant = function
+    | Int _ | Float _ | Mypid | Nprocs -> true
+    | Var v -> v <> var
+    | Bin ((Add | Sub | Mul | Div | Mod | Min | Max), x, y) ->
+        invariant x && invariant y
+    | Un (Neg, x) -> invariant x
+    | _ -> false
+  in
+  let moving = function
+    | Var v when v = var -> Some 0
+    | (Bin (Add, Var v, Int c) | Bin (Add, Int c, Var v)) when v = var -> Some c
+    | Bin (Sub, Var v, Int c) when v = var -> Some (-c)
+    | _ -> None
+  in
+  let sub x =
+    match moving x with
+    | Some c -> Some (Sub_var c)
+    | None when invariant x && ty ctx x = SInt -> Some (Sub_inv (ci ctx x).run)
+    | None -> None
+  in
+  let accs = ref [] in
+  let access arr k es =
+    let subs = List.map sub es in
+    if List.mem None subs then None
+    else begin
+      let sa_subs = Array.of_list (List.map Option.get subs) in
+      accs := { sa_k = k; sa_arr = arr; sa_subs } :: !accs;
+      Some (List.length !accs - 1)
+    end
+  in
+  let scals = ref [] in
+  let kind = function
+    | Add -> K_add
+    | Sub -> K_sub
+    | Mul -> K_mul
+    | Div -> K_div
+    | Min -> K_min
+    | Max -> K_max
+    | _ -> assert false
+  in
+  let rec tree x =
+    if invariant x then
+      match ty ctx x with
+      | SInt | SFloat ->
+          scals := (cnum ctx x).run :: !scals;
+          Some (T_scal (List.length !scals - 1))
+      | _ -> None
+    else
+      match x with
+      | Elem (arr, es) ->
+          (* the site celem allocated for this very node: the same
+             subscript list (physically) of the same array *)
+          List.find_map
+            (fun (a', es', k) ->
+              if es' == es && a' = arr then
+                Option.map (fun j -> T_read j) (access arr k es)
+              else None)
+            log
+      | Bin (((Add | Sub | Mul | Div | Min | Max) as op), l, r)
+        when ty ctx x = SFloat ->
+          Option.bind (tree l) (fun tl ->
+              Option.map (fun tr -> T_bin (kind op, tl, tr)) (tree r))
+      | Un (Neg, l) when ty ctx x = SFloat ->
+          Option.map (fun tl -> T_un (K_neg, tl)) (tree l)
+      | _ -> None
+  in
+  (* the store must move with the loop: a fixed element would be
+     stored n times, and its reads could not all precede its stores *)
+  if
+    ty ctx (Var var) <> SInt
+    || not (List.exists (fun x -> moving x <> None) idxs)
+  then None
+  else
+    (* the store is access 0 *)
+    match access a store_k idxs with
+    | None -> None
+    | Some _ ->
+        Option.map
+          (fun t ->
+            let ops, nregs = lower_tree t in
+            {
+              sp_accs = Array.of_list (List.rev !accs);
+              sp_scals = Array.of_list (List.rev !scals);
+              sp_ops = ops;
+              sp_nregs = nregs;
+            })
+          (tree e)
+
+(* Resolve access [a] for a trip whose first iteration binds [lo] and
+   whose last binds [lo + span]: fill the site's index with the first
+   element, take (or fill) its inline cache, and check that the whole
+   trip stays inside that one segment, walking it with unit stride.
+   Records the trip's chunk offset and per-iteration delta in [pos]. *)
+let probe_acc m (a : sacc) ~lo ~span ~step pos j =
+  let s = m.m_sites.(a.sa_k) in
+  let rank = Array.length a.sa_subs in
+  for d = 0 to rank - 1 do
+    s.s_idx.(d) <-
+      (match a.sa_subs.(d) with Sub_var c -> lo + c | Sub_inv r -> r m)
+  done;
+  let st = m.m_w.w_st in
+  let g = Symtab.generation st in
+  let off = if s.s_gen = g then site_off s 0 rank 0 else -1 in
+  let off =
+    if off >= 0 then off
+    else if Symtab.owned_element st a.sa_arr s.s_idx then begin
+      refill st s a.sa_arr;
+      if s.s_gen = g then site_off s 0 rank 0 else -1
+    end
+    else -1
+  in
+  off >= 0
+  && begin
+       let ok = ref true and w = ref 1 and delta = ref 0 in
+       for d = rank - 1 downto 0 do
+         (match a.sa_subs.(d) with
+         | Sub_var _ ->
+             if s.s_stride.(d) <> 1 || span > s.s_hi.(d) - s.s_idx.(d) then
+               ok := false
+             else delta := !delta + !w
+         | Sub_inv _ -> ());
+         w := !w * s.s_cnt.(d)
+       done;
+       pos.(2 * j) <- off;
+       pos.(2 * j + 1) <- !delta * step;
+       !ok
+     end
+
+(* One operation over a whole strip: element t of [d] (from [bd] by
+   [dd]) gets [k] of element t of [a] and of [b].  The accesses are
+   unchecked: [run_strip] has proved every index in bounds.  (Running
+   indices, written out per case: no closure may capture them.) *)
+let strip_kernel k n (d : float array) bd dd (a : float array) ba da
+    (b : float array) bb db =
+  let i = ref bd and j = ref ba and l = ref bb in
+  match k with
+  | K_copy when dd = 1 && da = 1 -> Array.blit a ba d bd n
+  | K_copy ->
+      for _ = 1 to n do
+        Array.unsafe_set d !i (Array.unsafe_get a !j);
+        i := !i + dd;
+        j := !j + da;
+        l := !l + db
+      done
+  | K_neg ->
+      for _ = 1 to n do
+        Array.unsafe_set d !i (-.Array.unsafe_get a !j);
+        i := !i + dd;
+        j := !j + da;
+        l := !l + db
+      done
+  | K_add ->
+      for _ = 1 to n do
+        Array.unsafe_set d !i (Array.unsafe_get a !j +. Array.unsafe_get b !l);
+        i := !i + dd;
+        j := !j + da;
+        l := !l + db
+      done
+  | K_sub ->
+      for _ = 1 to n do
+        Array.unsafe_set d !i (Array.unsafe_get a !j -. Array.unsafe_get b !l);
+        i := !i + dd;
+        j := !j + da;
+        l := !l + db
+      done
+  | K_mul ->
+      for _ = 1 to n do
+        Array.unsafe_set d !i (Array.unsafe_get a !j *. Array.unsafe_get b !l);
+        i := !i + dd;
+        j := !j + da;
+        l := !l + db
+      done
+  | K_div ->
+      for _ = 1 to n do
+        Array.unsafe_set d !i (Array.unsafe_get a !j /. Array.unsafe_get b !l);
+        i := !i + dd;
+        j := !j + da;
+        l := !l + db
+      done
+  | K_min ->
+      for _ = 1 to n do
+        Array.unsafe_set d !i
+          (Float.min (Array.unsafe_get a !j) (Array.unsafe_get b !l));
+        i := !i + dd;
+        j := !j + da;
+        l := !l + db
+      done
+  | K_max ->
+      for _ = 1 to n do
+        Array.unsafe_set d !i
+          (Float.max (Array.unsafe_get a !j) (Array.unsafe_get b !l));
+        i := !i + dd;
+        j := !j + da;
+        l := !l + db
+      done
+
+(* Machine scratch: slot 0 holds the strip's invariant scalars, slots
+   1..nregs its column registers of at least [n] floats. *)
+let strip_bufs m sp n =
+  let nscal = Array.length sp.sp_scals and nregs = sp.sp_nregs in
+  if Array.length m.m_sbuf <= nregs then begin
+    let b = Array.make (nregs + 1) [||] in
+    Array.blit m.m_sbuf 0 b 0 (Array.length m.m_sbuf);
+    m.m_sbuf <- b
+  end;
+  let b = m.m_sbuf in
+  if Array.length b.(0) < nscal then b.(0) <- Array.make nscal 0.0;
+  for r = 1 to nregs do
+    if Array.length b.(r) < n then
+      b.(r) <- Array.make (max n (2 * Array.length b.(r))) 0.0
+  done;
+  b
+
+let opnd_arr m sp bufs = function
+  | O_acc j -> m.m_sites.(sp.sp_accs.(j).sa_k).s_data
+  | O_reg r -> bufs.(r)
+  | O_scal _ -> bufs.(0)
+
+let opnd_base pos = function
+  | O_acc j -> pos.(2 * j)
+  | O_reg _ -> 0
+  | O_scal j -> j
+
+let opnd_delta pos = function
+  | O_acc j -> pos.((2 * j) + 1)
+  | O_reg _ -> 1
+  | O_scal _ -> 0
+
+(* Run the trip of [n] iterations from [lo] by [step] as a strip, or
+   return false — having changed nothing but inline caches — when it
+   cannot be proved in bounds and alias-free.  Buffers grow only after
+   the probe, which bounds [n] by a segment's extent. *)
+let run_strip sp m ~lo ~step ~n =
+  let naccs = Array.length sp.sp_accs in
+  let pos = Array.make (2 * naccs) 0 in
+  let span = (n - 1) * step in
+  let probed =
+    span >= 0
+    &&
+    try
+      let ok = ref true and j = ref 0 in
+      while !ok && !j < naccs do
+        ok := probe_acc m sp.sp_accs.(!j) ~lo ~span ~step pos !j;
+        incr j
+      done;
+      !ok
+      && begin
+           let bufs = strip_bufs m sp 0 in
+           Array.iteri (fun j f -> bufs.(0).(j) <- f m) sp.sp_scals;
+           true
+         end
+    with _ -> false
+  in
+  probed
+  && begin
+       (* alias rule: a read of the stored chunk must read exactly the
+          elements being stored — each before its own store *)
+       let sdata = m.m_sites.(sp.sp_accs.(0).sa_k).s_data in
+       let ok = ref true in
+       for j = 1 to naccs - 1 do
+         if
+           m.m_sites.(sp.sp_accs.(j).sa_k).s_data == sdata
+           && (pos.(2 * j) <> pos.(0) || pos.((2 * j) + 1) <> pos.(1))
+         then ok := false
+       done;
+       !ok
+     end
+  && begin
+       let bufs = strip_bufs m sp n in
+       Array.iter
+         (fun op ->
+           let a = op.so_a and b = op.so_b and d = op.so_dst in
+           strip_kernel op.so_k n (opnd_arr m sp bufs d) (opnd_base pos d)
+             (opnd_delta pos d) (opnd_arr m sp bufs a) (opnd_base pos a)
+             (opnd_delta pos a) (opnd_arr m sp bufs b) (opnd_base pos b)
+             (opnd_delta pos b))
+         sp.sp_ops;
+       true
+     end
 
 let kbuf m n =
   if Array.length m.m_kbuf < n then m.m_kbuf <- Array.make n 0.0;
@@ -1468,19 +1760,48 @@ and cstmt_k ctx (s : stmt) : sc =
         | KFloat -> assert false (* loop vars are never float-typed *)
       in
       let int_op = ctx.cm.Costmodel.time_int_op in
-      (* The batched specialization compiles the body itself (quietly);
-         only the other cases need the generic block. *)
+      let bodyb = cblock ctx body in
+      (* The batched specialization also compiles the body quietly. *)
       let batched =
         if not (ctx.fuse && List.for_all no_await_e [ lo; hi; step ]) then
           None
         else
-          match body with
-          | [ Assign (Lelem (a, idxs), e) ]
+          match (body, bodyb.b_fast) with
+          | [ Assign (Lelem (a, idxs), e) ], Some charged
             when List.for_all fixed_cost_e (e :: idxs) ->
+              let store_k = ctx.nsites in
+              ctx.read_log <- Some [];
               let qrun, qt = quiet_elem_assign ctx a idxs e in
+              let log = Option.get ctx.read_log in
+              ctx.read_log <- None;
+              let strip, _ =
+                quietly ctx (fun () ->
+                    strip_form ctx var ~store_k ~log a idxs e)
+              in
               let iter = int_op +. Costmodel.tally_cost ctx.cm qt in
               ctx.fs_loops <- ctx.fs_loops + 1;
               ctx.fs_batched <- ctx.fs_batched + 1;
+              if strip <> None then ctx.fs_strips <- ctx.fs_strips + 1;
+              (* An iteration that aborts does so before its store, so
+                 it replays through the charged body: the diagnostic
+                 then carries the interpreter's clock, as if every
+                 earlier iteration had charged on its own. *)
+              let per_element m lo hi step =
+                let cur = ref lo and t = ref 0 in
+                try
+                  while !cur <= hi do
+                    set m !cur;
+                    qrun m;
+                    cur := !cur + step;
+                    incr t
+                  done
+                with e ->
+                  m.m_w.w_charge (int_op +. (float_of_int !t *. iter));
+                  set m !cur;
+                  m.m_w.w_charge int_op;
+                  ignore (charged m : int);
+                  raise e
+              in
               Some
                 (fun m ->
                   let lo, hi, step = tripr m in
@@ -1492,18 +1813,15 @@ and cstmt_k ctx (s : stmt) : sc =
                   end
                   else begin
                     let n = ((hi - lo) / step) + 1 in
+                    (match strip with
+                    | Some sp when run_strip sp m ~lo ~step ~n ->
+                        set m (lo + ((n - 1) * step))
+                    | _ -> per_element m lo hi step);
                     m.m_w.w_charge (int_op +. (float_of_int n *. iter));
-                    let cur = ref lo in
-                    while !cur <= hi do
-                      set m !cur;
-                      qrun m;
-                      cur := !cur + step
-                    done;
                     1 + n
                   end)
           | _ -> None
       in
-      let bodyb = cblock ctx body in
       let code m =
         let lo, hi, step = tripr m in
         if step <= 0 then raise (m.m_w.w_misuse "non-positive loop step");
@@ -1781,6 +2099,7 @@ type fusion_stats = {
   fs_run_hist : (int * int) list;
   fs_spec_loops : int;
   fs_batched_loops : int;
+  fs_strip_loops : int;
   fs_inlined_kernels : int;
   fs_blockers : (string * int) list;
 }
@@ -1851,12 +2170,14 @@ let compile ?(fuse = fuse_default) ~cost ~kernels ~scalars (p : program) =
       fuse;
       quiet = false;
       qtally = Costmodel.tally_zero;
+      read_log = None;
       fs_total = 0;
       fs_fusable = 0;
       fs_units = 0;
       fs_run_hist = [];
       fs_loops = 0;
       fs_batched = 0;
+      fs_strips = 0;
       fs_kernels = 0;
       fs_blockers = [];
     }
@@ -1879,6 +2200,7 @@ let compile ?(fuse = fuse_default) ~cost ~kernels ~scalars (p : program) =
         fs_run_hist = List.sort compare ctx.fs_run_hist;
         fs_spec_loops = ctx.fs_loops;
         fs_batched_loops = ctx.fs_batched;
+        fs_strip_loops = ctx.fs_strips;
         fs_inlined_kernels = ctx.fs_kernels;
         fs_blockers = List.sort compare ctx.fs_blockers;
       };
@@ -1896,6 +2218,7 @@ let machine cp w =
       m_w = w;
       m_kbuf = [||];
       m_ktmp = [||];
+      m_sbuf = [||];
     }
   in
   List.iter

@@ -39,7 +39,11 @@
     scheduler turn.  Loop nests specialize further: a counted loop
     whose body is a single fixed-cost element store compiles into a
     native loop over the unboxed slot frame that charges one batched
-    trips×tally cost; an [fft1D] [Apply] of the stock kernel inlines
+    trips×tally cost, and — when every subscript is affine in the loop
+    variable — runs each trip column-at-a-time as a strip kernel over
+    unboxed floats, after proving every access in bounds of one cached
+    segment (falling back to the per-element loop otherwise); an
+    [fft1D] [Apply] of the stock kernel inlines
     the {!Xdp.Kernels.dht_sub} call path over reusable machine
     buffers.  The scheduler decides per turn whether running fused is
     sound (no receive in flight for this processor) and otherwise
@@ -150,6 +154,9 @@ type fusion_stats = {
       (** run length -> count, sorted by length *)
   fs_spec_loops : int;  (** natively specialized loop statements *)
   fs_batched_loops : int;  (** loops charging one batched tally *)
+  fs_strip_loops : int;
+      (** batched loops that also have a strip form (column-at-a-time
+          over unboxed floats); not part of {!fusion_digest} *)
   fs_inlined_kernels : int;  (** inlined kernel call sites *)
   fs_blockers : (string * int) list;
       (** why statements have no fused form: blocking reason -> count,

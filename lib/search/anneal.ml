@@ -29,24 +29,30 @@ type result = {
   seeded : int;
 }
 
-(* Total order on scored placements: the objective, then endpoint
-   messages, then the canonical key — so argmins are deterministic
-   even across exact ties. *)
-type score = { primary : float; s_msgs : int; s_key : string }
+(* Total order on scored placements: the objective, then wire bytes,
+   then endpoint messages, then the canonical key — so argmins are
+   deterministic even across exact ties, and a makespan tie goes to
+   the placement moving fewer bytes (under [Bytes] the second key
+   repeats the first and changes nothing). *)
+type score = { primary : float; s_bytes : int; s_msgs : int; s_key : string }
 
 let score_of objective p (s : Space.summary) =
+  let bytes = s.Space.comm.Estimate.wire_bytes in
   let primary =
     match objective with
-    | Bytes -> float_of_int s.Space.comm.Estimate.wire_bytes
+    | Bytes -> float_of_int bytes
     | Makespan -> s.Space.est_makespan
   in
-  { primary; s_msgs = s.Space.comm.Estimate.msgs; s_key = Space.key p }
+  { primary; s_bytes = bytes; s_msgs = s.Space.comm.Estimate.msgs;
+    s_key = Space.key p }
 
 let better a b =
   a.primary < b.primary
-  || (a.primary = b.primary
-      && (a.s_msgs < b.s_msgs
-          || (a.s_msgs = b.s_msgs && a.s_key < b.s_key)))
+  || a.primary = b.primary
+     && (a.s_bytes < b.s_bytes
+        || a.s_bytes = b.s_bytes
+           && (a.s_msgs < b.s_msgs
+              || (a.s_msgs = b.s_msgs && a.s_key < b.s_key)))
 
 (* ------------------------------------------------------------------ *)
 (* Mutations.  Each returns a normalized placement; an inapplicable

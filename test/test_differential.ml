@@ -16,7 +16,13 @@ type cfg = {
   n : int;
   dist_x : Xdp_dist.Dist.t;
   dist_y : Xdp_dist.Dist.t;
+  halved : bool;
+      (** BLOCK arrays store each block as two segments, so localized
+          loops cross a segment boundary inside the block *)
   stmts : spec list;
+  spmd : local list;
+      (** explicit per-processor statements appended to the optimized
+          program; only the engine-parity property runs them *)
 }
 
 and spec =
@@ -26,7 +32,33 @@ and spec =
   | Scalar_mix of string * int
       (** s = src[k]; dst[i] = dst[i] + s *)
 
+(* SPMD loop nests over the executing processor's own elements, the
+   shapes the staged engine runs as strip kernels or must refuse to. *)
+and local =
+  | Sweep2 of {
+      dst : string;
+      src : string;
+      di : int;
+      dj : int;
+      op : binop;
+      negate : bool;
+      rows : bool;  (** the inner loop runs down a column *)
+      step : int;
+    }
+      (** over the own block of the rank-2 arrays, reads kept inside it:
+          dst[i,j] = op(±src[i+di,j+dj], dst[i,j] * c) *)
+  | Recur of string * float  (** x[i] = x[i-1] * c: loop-carried *)
+  | Fold of string * string * float
+      (** dst[k] = dst[k] * c + src[i] over src's own elements, k the
+          first own element of dst: a store that does not move *)
+  | Overrun of string * string * int
+      (** dst[i] = src[i+d] * 2 for i up to one past the own range:
+          a store (or read) of an unowned element.  Processor 1 only:
+          when several processors abort, which one a fused turn reaches
+          first need not be the one the interpreter reaches first *)
+
 let arrays = [ "X"; "Y" ]
+let arrays2 = [ "U"; "V" ]
 
 let gen_spec =
   G.(
@@ -43,25 +75,57 @@ let gen_spec =
           (int_range 1 4);
       ])
 
+let gen_local =
+  G.(
+    frequency
+      [
+        ( 4,
+          let* dst, src = pair (oneofl arrays2) (oneofl arrays2) in
+          let* di, dj = pair (int_range (-1) 1) (int_range (-1) 1) in
+          let* op = oneofl [ Add; Sub; Mul; Div; Min; Max ] in
+          let* negate, rows = pair bool bool in
+          let* step = int_range 1 2 in
+          return (Sweep2 { dst; src; di; dj; op; negate; rows; step }) );
+        ( 1,
+          map2 (fun x c -> Recur (x, c)) (oneofl arrays) (float_range 0.5 1.5)
+        );
+        ( 1,
+          map2
+            (fun (dst, src) c -> Fold (dst, src, c))
+            (pair (oneofl arrays) (oneofl arrays))
+            (float_range 0.5 1.5) );
+        ( 1,
+          map2
+            (fun (dst, src) d -> Overrun (dst, src, d))
+            (pair (oneofl arrays) (oneofl arrays))
+            (int_range 0 1) );
+      ])
+
 let gen_cfg =
   G.(
     let* nprocs = int_range 1 4 in
     let* mult = int_range 1 3 in
     let* dist_x = oneofl Xdp_dist.Dist.[ Block; Cyclic ] in
     let* dist_y = oneofl Xdp_dist.Dist.[ Block; Cyclic ] in
+    let* halved = bool in
     let* stmts = list_size (int_range 1 3) gen_spec in
-    return { nprocs; n = 4 * nprocs * mult; dist_x; dist_y; stmts })
+    let* spmd = list_size (int_range 0 3) gen_local in
+    return
+      { nprocs; n = 4 * nprocs * mult; dist_x; dist_y; halved; stmts; spmd })
 
 let other dst = if dst = "X" then "Y" else "X"
 
 let build_program cfg =
   let grid = Xdp_dist.Grid.linear cfg.nprocs in
-  let decls =
-    [
-      decl ~name:"X" ~shape:[ cfg.n ] ~dist:[ cfg.dist_x ] ~grid ();
-      decl ~name:"Y" ~shape:[ cfg.n ] ~dist:[ cfg.dist_y ] ~grid ();
-    ]
+  let decl1 name dist =
+    let seg_shape =
+      match dist with
+      | Xdp_dist.Dist.Block when cfg.halved -> Some [ cfg.n / cfg.nprocs / 2 ]
+      | _ -> None
+    in
+    decl ~name ~shape:[ cfg.n ] ~dist:[ dist ] ~grid ?seg_shape ()
   in
+  let decls = [ decl1 "X" cfg.dist_x; decl1 "Y" cfg.dist_y ] in
   let iv = var "i" in
   let fresh = ref 0 in
   let body =
@@ -96,17 +160,117 @@ let build_program cfg =
   in
   program ~name:"differential" ~decls body
 
+(* The rank-2 arrays of the SPMD statements: 12 x 12, BLOCK x BLOCK
+   over a processor grid whose shape the configuration picks. *)
+let m2 = 12
+
+let spmd_stmts cfg =
+  let pr, pc =
+    match cfg.nprocs with
+    | 4 -> (2, 2)
+    | p -> if cfg.n mod 8 = 0 then (1, p) else (p, 1)
+  in
+  let grid = Xdp_dist.Grid.make [ pr; pc ] in
+  let decls =
+    List.map
+      (fun name ->
+        decl ~name ~shape:[ m2; m2 ]
+          ~dist:Xdp_dist.Dist.[ Block; Block ]
+          ~grid ())
+      arrays2
+  in
+  let iv = var "i" and jv = var "j" in
+  let own a d = (mylb (sec a [ all; all ]) d, myub (sec a [ all; all ]) d) in
+  let own1 a = (mylb (sec a [ all ]) 1, myub (sec a [ all ]) 1) in
+  let shifted e d = if d = 0 then e else e +: i d in
+  (* the distance between a processor's own elements of X or Y *)
+  let stride1 a =
+    match if a = "X" then cfg.dist_x else cfg.dist_y with
+    | Xdp_dist.Dist.Cyclic -> cfg.nprocs
+    | _ -> 1
+  in
+  let body =
+    List.concat_map
+      (function
+        | Sweep2 { dst; src; di; dj; op; negate; rows; step } ->
+            (* clip the range so src[i+di, j+dj] stays in the own block *)
+            let range lo hi d =
+              (lo +: i (max 0 (-d)), hi -: i (max 0 d))
+            in
+            let (rlo, rhi), (clo, chi) = (own dst 1, own dst 2) in
+            let ilo, ihi = range rlo rhi di and jlo, jhi = range clo chi dj in
+            let read = elem src [ shifted iv di; shifted jv dj ] in
+            let rhs =
+              Bin
+                ( op,
+                  (if negate then neg read else read),
+                  elem dst [ iv; jv ] *: var "c" )
+            in
+            let store = set dst [ iv; jv ] rhs in
+            if rows then
+              [
+                loop "j" jlo jhi [ loop_step "i" ilo ihi (i step) [ store ] ];
+              ]
+            else
+              [
+                loop "i" ilo ihi [ loop_step "j" jlo jhi (i step) [ store ] ];
+              ]
+        | Recur (x, c) ->
+            let lo, hi = own1 x and st = stride1 x in
+            [
+              loop_step "i" (lo +: i st) hi (i st)
+                [ set x [ iv ] (elem x [ iv -: i st ] *: f c) ];
+            ]
+        | Fold (dst, src, c) ->
+            (* the first own element of dst, as plain mypid arithmetic *)
+            let k =
+              if stride1 dst = 1 then
+                ((mypid -: i 1) *: i (cfg.n / cfg.nprocs)) +: i 1
+              else mypid
+            in
+            let lo, hi = own1 src and st = stride1 src in
+            [
+              loop_step "i" lo hi (i st)
+                [ set dst [ k ] ((elem dst [ k ] *: f c) +: elem src [ iv ]) ];
+            ]
+        | Overrun (dst, src, d) ->
+            let lo, hi = own1 dst and st = stride1 dst in
+            [
+              (mypid =: i 1)
+              @: [
+                   loop_step "i" lo (hi +: i st) (i st)
+                     [ set dst [ iv ] (elem src [ shifted iv d ] *: f 2.0) ];
+                 ];
+            ])
+      cfg.spmd
+  in
+  (decls, if body = [] then [] else setv "c" (f 0.75) :: body)
+
+(* The program the engine-parity property runs: the optimized program
+   with the SPMD statements appended. *)
+let with_spmd cfg (p : program) =
+  let decls, body = spmd_stmts cfg in
+  { p with decls = p.decls @ decls; body = p.body @ body }
+
 let init name idx =
   match (name, idx) with
   | "X", [ i ] -> float_of_int i
   | "Y", [ i ] -> 0.5 +. float_of_int (3 * i)
+  | "U", [ i; j ] -> float_of_int ((i * m2) + j) /. 7.0
+  | "V", [ i; j ] -> 1.0 -. float_of_int ((j * m2) + i)
   | _ -> 0.0
 
 let print_cfg cfg =
-  Printf.sprintf "P=%d n=%d X:%s Y:%s\n%s" cfg.nprocs cfg.n
+  let decls, spmd = spmd_stmts cfg in
+  Printf.sprintf "P=%d n=%d X:%s Y:%s%s\n%s%s" cfg.nprocs cfg.n
     (Xdp_dist.Dist.to_string cfg.dist_x)
     (Xdp_dist.Dist.to_string cfg.dist_y)
+    (if cfg.halved then " halved" else "")
     (Xdp.Pp.program_to_string (build_program cfg))
+    (if spmd = [] then ""
+     else
+       "// appended for engine parity:\n"
+       ^ Xdp.Pp.program_to_string (program ~name:"spmd" ~decls spmd))
 
 let stages =
   [
@@ -218,18 +382,42 @@ let cost_models =
     ("idealized", Xdp_sim.Costmodel.idealized);
   ]
 
+(* A misuse diagnostic reduced to its processor and text ("P2 at t=...
+   in prog: msg" becomes "P2: msg"): under jittered fault plans the
+   two engines' clocks may differ in the last bits. *)
+let without_clock msg =
+  match (String.index_opt msg ' ', String.index_opt msg ':') with
+  | Some a, Some b when a < b ->
+      String.sub msg 0 a ^ String.sub msg b (String.length msg - b)
+  | _ -> msg
+
 let check_engine_pair cfg ~label ?fault ~cost ~cost_name () =
   let p = build_program cfg in
-  let compiled = (Xdp.Compile.optimize ~nprocs:cfg.nprocs p).compiled in
-  let go engine =
-    Exec.run ~engine ~cost ?fault ~init ~nprocs:cfg.nprocs ~trace:true
-      compiled
+  let compiled =
+    with_spmd cfg (Xdp.Compile.optimize ~nprocs:cfg.nprocs p).compiled
   in
-  let ri = go `Interp and rc = go `Compiled in
+  let go engine =
+    match
+      Exec.run ~engine ~cost ?fault ~init ~nprocs:cfg.nprocs ~trace:true
+        compiled
+    with
+    | r -> Ok r
+    | exception Exec.Xdp_misuse m -> Error m
+  in
   let fail msg =
     QCheck.Test.fail_reportf "engines differ (%s, %s): %s\n%s" label cost_name
       msg (print_cfg cfg)
   in
+  match (go `Interp, go `Compiled) with
+  | Error a, Error b ->
+      let a, b =
+        if fault = None then (a, b) else (without_clock a, without_clock b)
+      in
+      if a <> b then fail (Printf.sprintf "misuse %S vs %S" a b);
+      true
+  | Ok _, Error m | Error m, Ok _ ->
+      fail (Printf.sprintf "only one engine raised misuse %S" m)
+  | Ok ri, Ok rc ->
   List.iter
     (fun arr ->
       if
@@ -237,7 +425,7 @@ let check_engine_pair cfg ~label ?fault ~cost ~cost_name () =
           (Xdp_util.Tensor.equal ~eps:0.0 (Exec.array ri arr)
              (Exec.array rc arr))
       then fail (Printf.sprintf "array %s" arr))
-    arrays;
+    (arrays @ if cfg.spmd = [] then [] else arrays2);
   (* the whole stats record: counts exactly, clocks bit for bit on
      fault-free runs (dyadic per-op costs make batched charging exact);
      fault jitter introduces non-dyadic clock bases, so there compare
@@ -482,27 +670,106 @@ let test_fixed_cases () =
         n = 12;
         dist_x = Xdp_dist.Dist.Block;
         dist_y = Xdp_dist.Dist.Cyclic;
+        halved = false;
         stmts =
           [
             Map ("X", "Y", 1, Add, 1.5);
             Scalar_mix ("X", 4);
             Accum ("Y", Mul, 2.0);
           ];
+        spmd = [];
       };
       {
         nprocs = 4;
         n = 16;
         dist_x = Xdp_dist.Dist.Cyclic;
         dist_y = Xdp_dist.Dist.Cyclic;
+        halved = false;
         stmts = [ Map ("Y", "X", -1, Mul, 0.5); Map ("X", "Y", 0, Sub, 1.0) ];
+        spmd = [];
       };
       {
         nprocs = 1;
         n = 4;
         dist_x = Xdp_dist.Dist.Block;
         dist_y = Xdp_dist.Dist.Block;
+        halved = false;
         stmts = [ Scalar_mix ("Y", 2) ];
+        spmd = [];
       };
+    ]
+
+(* Fixed engine-parity cases for the strip kernels: every column loop
+   of the SPMD sweeps gets a strip form, and the runs that take them,
+   refuse them (loop-carried reads, segment edges, misuse) or abort
+   must match the interpreter exactly. *)
+let test_fixed_strips () =
+  let sweep ?(negate = false) ?(rows = false) ?(step = 1) dst src di dj op =
+    Sweep2 { dst; src; di; dj; op; negate; rows; step }
+  in
+  let base =
+    {
+      nprocs = 4;
+      n = 16;
+      dist_x = Xdp_dist.Dist.Block;
+      dist_y = Xdp_dist.Dist.Block;
+      halved = true;
+      stmts = [ Map ("X", "Y", -1, Add, 1.5); Scalar_mix ("Y", 3) ];
+      spmd = [];
+    }
+  in
+  List.iter
+    (fun cfg ->
+      let p =
+        with_spmd cfg
+          (Xdp.Compile.optimize ~nprocs:cfg.nprocs (build_program cfg))
+            .compiled
+      in
+      let fs =
+        Xdp_runtime.Precompile.fusion_stats
+          (Xdp_runtime.Precompile.compile ~fuse:true
+             ~cost:Xdp_sim.Costmodel.message_passing
+             ~kernels:Xdp.Kernels.default ~scalars:[] p)
+      in
+      let sweeps =
+        List.length
+          (List.filter (function Sweep2 _ -> true | _ -> false) cfg.spmd)
+      in
+      Alcotest.(check bool)
+        "every sweep has a strip form" true
+        (fs.Xdp_runtime.Precompile.fs_strip_loops >= sweeps);
+      Alcotest.(check bool) "engines agree" true (check_cfg_engines cfg))
+    [
+      {
+        base with
+        halved = false;
+        spmd =
+          [
+            sweep "U" "V" 1 0 Add;
+            sweep ~negate:true "V" "U" 0 (-1) Div;
+            sweep ~rows:true ~step:2 "U" "V" (-1) 1 Min;
+            sweep "V" "U" 0 0 Max;
+            Recur ("X", 1.25);
+            Fold ("Y", "X", 0.5);
+            Fold ("X", "X", 1.5);
+          ];
+      };
+      {
+        base with
+        nprocs = 3;
+        n = 24;
+        spmd =
+          [
+            sweep ~negate:true ~rows:true "U" "U" (-1) 0 Sub;
+            sweep ~negate:true "V" "V" 0 (-1) Mul;
+            sweep ~rows:true "V" "V" 1 1 Add;
+          ];
+      };
+      {
+        base with
+        spmd = [ sweep ~step:2 "U" "V" 0 1 Mul; Overrun ("X", "Y", 0) ];
+      };
+      { base with halved = false; spmd = [ Overrun ("Y", "X", 1) ] };
     ]
 
 let () =
@@ -510,6 +777,7 @@ let () =
     [
       ( "pipeline vs reference",
         [
+          Alcotest.test_case "fixed strip cases" `Quick test_fixed_strips;
           Alcotest.test_case "fixed cases" `Quick test_fixed_cases;
           QCheck_alcotest.to_alcotest prop_differential;
           QCheck_alcotest.to_alcotest prop_differential_faulty;

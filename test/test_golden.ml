@@ -315,7 +315,14 @@ let test_fusion_digests () =
   Alcotest.(check string) "jacobi2d halo: fusion digest"
     "9de284aa6343c7f216ca0966421214a4" d_jac;
   Alcotest.(check int) "jacobi2d halo: batched loops" 6
-    fs_jac.Xdp_runtime.Precompile.fs_batched_loops
+    fs_jac.Xdp_runtime.Precompile.fs_batched_loops;
+  (* every batched loop — the interior and copy-back column loops and
+     the four edge loops — has affine subscripts, so each also gets a
+     strip form (counted outside the digest) *)
+  Alcotest.(check int) "jacobi2d halo: strip loops" 6
+    fs_jac.Xdp_runtime.Precompile.fs_strip_loops;
+  Alcotest.(check int) "fft3d pipelined: strip loops" 0
+    fs_fft.Xdp_runtime.Precompile.fs_strip_loops
 
 (* ---- fault-injection golden: the unreliable network is part of the
    deterministic surface too.  Same plan seed, same drops, same
