@@ -6,19 +6,24 @@ let pp_error ppf e = Format.fprintf ppf "%s: %s" e.where e.what
 
 let check p =
   let errors = ref [] in
-  let err where what = errors := { where; what } :: !errors in
+  (* [where] is lazy: a statement's location text renders its whole
+     subtree, so building it eagerly for every statement would make
+     the check quadratic in nesting depth. *)
+  let err where what =
+    errors := { where = Lazy.force where; what } :: !errors
+  in
   (* Declarations. *)
   let seen = Hashtbl.create 8 in
   List.iter
     (fun d ->
       if Hashtbl.mem seen d.arr_name then
-        err d.arr_name "duplicate array declaration";
+        err (lazy d.arr_name) "duplicate array declaration";
       Hashtbl.replace seen d.arr_name d;
       let rank = Xdp_dist.Layout.rank d.layout in
       if List.length d.seg_shape <> rank then
-        err d.arr_name "segment shape rank differs from array rank";
+        err (lazy d.arr_name) "segment shape rank differs from array rank";
       if List.exists (fun s -> s <= 0) d.seg_shape then
-        err d.arr_name "segment shape has a non-positive extent")
+        err (lazy d.arr_name) "segment shape has a non-positive extent")
     p.decls;
   let rank_of name =
     match Hashtbl.find_opt seen name with
@@ -85,10 +90,10 @@ let check p =
       s.sel
   in
   let rec check_stmt s =
-    let where = Pp.stmts_to_string [ s ] in
     let where =
-      if String.length where > 60 then String.sub where 0 60 ^ "..."
-      else where
+      lazy
+        (let w = Pp.stmts_to_string [ s ] in
+         if String.length w > 60 then String.sub w 0 60 ^ "..." else w)
     in
     match s with
     | Assign (Lvar _, e) -> check_expr ~guard:false where e

@@ -54,14 +54,18 @@ val default_engine : engine
     listing the accepted names ([compiled], [interp], [interpreter],
     [reference]) — a typo must not silently select an engine. *)
 
-type fusion = { fused_turns : int; fused_statements : int }
+type fusion = {
+  fused_turns : int;
+  fused_statements : int;
+  fallback_regions : int;
+}
 (** Dynamic superinstruction accounting of a run: scheduler turns that
-    executed a fused run, and the statements those turns covered.
-    Zero under the interpreter, with fusion disabled, or when every
-    fused unit fell back to statement-at-a-time execution.  Kept out
-    of {!Xdp_sim.Trace.stats} deliberately: the stats record is
-    compared field-for-field across engines by the differential
-    suite. *)
+    executed a fused run, the statements those turns covered, and the
+    fused regions that fell back to statement-at-a-time turns because
+    a receive into an array of their footprint was in flight.  Zero
+    under the interpreter or with fusion disabled.  Kept out of
+    {!Xdp_sim.Trace.stats} deliberately: the stats record is compared
+    field-for-field across engines by the differential suite. *)
 
 type result = {
   arrays : (string * Tensor.t) list;  (** gathered global arrays *)

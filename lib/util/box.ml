@@ -88,26 +88,31 @@ let inter_count a b =
 let subset a b = is_empty a || inter_count a b = count a
 let disjoint a b = inter_count a b = 0
 
+(* Advance [idx] row-major (last dimension fastest) from dimension
+   [d] down; false once the enumeration wraps.  Top-level so a step
+   allocates nothing. *)
+let rec bump t idx d =
+  d >= 0
+  &&
+  let tr = t.(d) in
+  let next = idx.(d) + tr.Triplet.stride in
+  if next <= Triplet.last tr then begin
+    idx.(d) <- next;
+    true
+  end
+  else begin
+    idx.(d) <- Triplet.first tr;
+    bump t idx (d - 1)
+  end
+
 let iter f t =
-  let n = Array.length t in
   if not (is_empty t) then begin
     let idx = Array.map Triplet.first t in
+    let last = Array.length t - 1 in
     let continue = ref true in
     while !continue do
       f (Array.to_list idx);
-      (* Advance row-major: last dimension fastest. *)
-      let rec bump d =
-        if d < 0 then continue := false
-        else
-          let tr = t.(d) in
-          let next = idx.(d) + tr.Triplet.stride in
-          if next <= Triplet.last tr then idx.(d) <- next
-          else begin
-            idx.(d) <- Triplet.first tr;
-            bump (d - 1)
-          end
-      in
-      bump (n - 1)
+      continue := bump t idx last
     done
   end
 

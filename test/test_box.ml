@@ -191,6 +191,43 @@ let prop_iter_runs2_covers_elements =
           in
           List.rev !pairs = expect)
 
+(* [Box.iter] against the obvious reference: one counted loop per
+   dimension, outermost first, over rank-1..3 strided boxes that may
+   be empty (a dimension with hi < lo). *)
+let arb_box_maybe_empty =
+  QCheck.make ~print:Box.to_string
+    QCheck.Gen.(
+      let* rank = int_range 1 3 in
+      let* ts =
+        list_repeat rank
+          (let* lo = int_range 1 6 in
+           let* len = int_range (-2) 6 in
+           let* stride = int_range 1 3 in
+           return (Triplet.make ~lo ~hi:(lo + len) ~stride))
+      in
+      return (Box.make ts))
+
+let nested_loops b =
+  let out = ref [] in
+  let rec go prefix = function
+    | [] -> out := List.rev prefix :: !out
+    | (t : Triplet.t) :: rest ->
+        let i = ref t.lo in
+        while !i <= t.hi do
+          go (!i :: prefix) rest;
+          i := !i + t.stride
+        done
+  in
+  go [] (Box.dims b);
+  List.rev !out
+
+let prop_iter_is_nested_loops =
+  QCheck.Test.make ~name:"iter enumerates like nested counted loops"
+    ~count:300 arb_box_maybe_empty (fun b ->
+      let seen = ref [] in
+      Box.iter (fun idx -> seen := idx :: !seen) b;
+      List.rev !seen = nested_loops b)
+
 let prop_covered_by_self_partition =
   QCheck.Test.make ~name:"box covered by its row slices" ~count:200 arb_box
     (fun b ->
@@ -227,5 +264,6 @@ let () =
             prop_affine_in_matches_position;
             prop_fold_offsets_agrees;
             prop_iter_runs2_covers_elements;
+            prop_iter_is_nested_loops;
           ] );
     ]

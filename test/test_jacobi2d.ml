@@ -84,6 +84,33 @@ let prop_random_grids =
         let r = run_halo ~n ~pr ~pc ~sweeps in
         Xdp_util.Tensor.max_diff (Exec.array r "A") expected < 1e-9)
 
+(* The halo receives land in HN/HS/HW/HE, which the interior sweep
+   never touches, so every fused region runs in one turn while the
+   halos are in flight (DESIGN.md §4d).  The rule this replaced fell
+   back whenever the processor had any receive in flight: 224 fused
+   turns on this run, each nested loop of a fallen-back region its
+   own turn. *)
+let test_overlap_fusion () =
+  let n = 64 and pr = 2 and pc = 2 and sweeps = 2 in
+  let p =
+    Xdp_apps.Jacobi2d.build ~n ~pr ~pc ~sweeps ~stage:Xdp_apps.Jacobi2d.Halo
+      ()
+  in
+  let cost = Xdp_sim.Costmodel.message_passing in
+  let staged =
+    Xdp_runtime.Precompile.compile ~fuse:true ~cost
+      ~kernels:Xdp.Kernels.default ~scalars:[] p
+  in
+  let r =
+    Exec.run ~engine:`Compiled ~staged ~cost ~init:Xdp_apps.Jacobi2d.init
+      ~nprocs:(pr * pc) p
+  in
+  Alcotest.(check int) "no fallback" 0 r.fusion.fallback_regions;
+  Alcotest.(check bool)
+    (Printf.sprintf "fused turns %d < 224" r.fusion.fused_turns)
+    true
+    (r.fusion.fused_turns < 224)
+
 let () =
   Alcotest.run "jacobi2d"
     [
@@ -93,6 +120,7 @@ let () =
           Alcotest.test_case "message counts" `Quick test_message_counts;
           Alcotest.test_case "strip vs tile" `Quick test_strip_vs_tile_volume;
           Alcotest.test_case "bad configs" `Quick test_bad_configs_rejected;
+          Alcotest.test_case "overlap fusion" `Quick test_overlap_fusion;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_random_grids ]);
     ]

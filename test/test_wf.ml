@@ -95,6 +95,38 @@ let test_mylb_dim_range () =
   let errs = errors [ setv "x" (mylb (sec "A" [ all ]) 2) ] in
   Alcotest.(check bool) "dim out of range" true (List.length errs > 0)
 
+(* The location of an error is the offending statement's text, cut
+   to 60 characters: pinned exactly for errors three loops deep, at
+   the outermost loop (truncated) and at the innermost store. *)
+let test_where_text () =
+  let jv = var "j" and kv = var "k" in
+  let errs =
+    errors
+      [
+        loop_step "i" (i 1) (i 4) (i 0)
+          [
+            loop "j" (i 1) (i 4)
+              [
+                loop "k" (i 1) (i 2)
+                  [
+                    set "M" [ iv; jv; kv ]
+                      (elem "A" [ iv +: kv ] +: elem "Z" [ jv ]);
+                  ];
+              ];
+          ];
+      ]
+  in
+  let inner = "M[i,j,k] = (A[(i + k)] + Z[j])" in
+  Alcotest.(check (list (pair string string)))
+    "where/what"
+    [
+      ( "do i = 1, 4, 0\n  do j = 1, 4\n    do k = 1, 2\n      M[i,j,k] ...",
+        "loop step must be positive" );
+      (inner, "M has rank 2 but 3 subscripts given");
+      (inner, "undeclared array Z");
+    ]
+    (List.map (fun (e : Xdp.Wf.error) -> (e.where, e.what)) errs)
+
 let test_check_exn () =
   Alcotest.(check bool) "raises with message" true
     (try
@@ -118,6 +150,7 @@ let () =
           Alcotest.test_case "seg shape" `Quick test_bad_seg_shape;
           Alcotest.test_case "duplicate decl" `Quick test_duplicate_decl;
           Alcotest.test_case "mylb dim" `Quick test_mylb_dim_range;
+          Alcotest.test_case "where text" `Quick test_where_text;
           Alcotest.test_case "check_exn" `Quick test_check_exn;
         ] );
     ]
