@@ -21,19 +21,7 @@ let ok_or_fail = function Ok v -> v | Error msg -> failwith msg
 let exec ~cache ~engine (s : Manifest.spec) =
   let cost = ok_or_fail (Workload.cost_of_string s.cost) in
   let w = Workload.build s in
-  let fault =
-    if s.drop = 0.0 && s.dup = 0.0 && s.jitter = 0.0 then Xdp_net.Faultplan.none
-    else
-      Xdp_net.Faultplan.make ~seed:s.fault_seed ~drop:s.drop ~dup:s.dup
-        ~jitter:s.jitter ()
-  in
-  let net =
-    let c = Xdp_net.Transport.default_config in
-    let c = match s.timeout with None -> c | Some timeout -> { c with timeout } in
-    match s.max_retries with
-    | None -> c
-    | Some max_retries -> { c with max_retries }
-  in
+  let fault, net = Workload.network s in
   let key =
     Cache.digest ~cost ~fuse:Precompile.fuse_default ~scalars:[] w.Workload.prog
   in

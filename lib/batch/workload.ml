@@ -66,6 +66,22 @@ let cost_of_string = function
             idealized, nic_compute)"
            s)
 
+let network (s : Manifest.spec) =
+  let fault =
+    if s.drop = 0.0 && s.dup = 0.0 && s.jitter = 0.0 then Xdp_net.Faultplan.none
+    else
+      Xdp_net.Faultplan.make ~seed:s.fault_seed ~drop:s.drop ~dup:s.dup
+        ~jitter:s.jitter ()
+  in
+  let c = Xdp_net.Transport.default_config in
+  let c = match s.timeout with None -> c | Some timeout -> { c with timeout } in
+  let c =
+    match s.max_retries with
+    | None -> c
+    | Some max_retries -> { c with max_retries }
+  in
+  (fault, c)
+
 let engine_of_string = function
   | "compiled" | "staged" -> Ok `Compiled
   | "interp" | "interpreter" | "reference" -> Ok `Interp

@@ -28,6 +28,12 @@ val cost_of_string : string -> (Xdp_sim.Costmodel.t, string) result
 (** Accepts [message_passing]/[mp], [shared_address]/[sa],
     [idealized]/[ideal], [nic_compute]/[nic]. *)
 
+val network : Manifest.spec -> Xdp_net.Faultplan.t * Xdp_net.Transport.config
+(** The fault plan and transport configuration a spec names:
+    {!Xdp_net.Faultplan.none} unless [drop], [dup] or [jitter] is
+    non-zero (seeded by [fault_seed]), and the default transport with
+    the spec's [timeout] and [max_retries] overrides. *)
+
 val engine_of_string : string -> (Xdp_runtime.Exec.engine, string) result
 (** Accepts [compiled]/[staged], [interp]/[interpreter]/[reference]. *)
 

@@ -31,7 +31,17 @@
     {!Xdp_net.Transport.Link_failed} naming the dead (src, dst,
     section) links — a stuck run is always diagnosed as either a
     program bug ({!Deadlock}: nothing was ever in flight) or a
-    network failure ({!Link_failed}), never a silent hang. *)
+    network failure ({!Link_failed}), never a silent hang.
+
+    {b Structure.}  {!run} builds the message stack once ({!Comm}:
+    the board, plus the transport and NIC fabric when asked for) and a
+    run-state record, then drives top-level scheduler pieces over it:
+    symbol-table seeding, the interpreter's statement step, the
+    scheduler step, delivery, stuck-run diagnosis, gather and stats
+    assembly.  Each processor has one {!Evalexpr.hooks} record, read
+    by both engines; the compiled engine's {!Precompile.world} adds the
+    symbol table, guard counters, misuse and the transfer cores both
+    engines share. *)
 
 open Xdp_util
 
@@ -99,10 +109,13 @@ val run :
     compile-once/run-many seam the batch service's digest-keyed cache
     drives.  The caller owns the coherence obligation: the [cprog]
     must have been compiled from this very program with the same
-    [cost], [kernels] and [scalars] (the cache keys on a digest of all
-    four), and a [cprog] must only be shared {e within} a domain —
-    per-processor mutable state lives in the {!Precompile.machine}s
-    built here, but cross-domain reuse is not part of the contract.
+    [cost], [kernels] and [scalars] (the batch cache keys on a digest
+    of the program, [cost], the fusion switch and [scalars]; kernels
+    are not keyed, since the batch service always stages with
+    {!Xdp.Kernels.default}), and a [cprog] must only be shared
+    {e within} a domain — per-processor mutable state lives in the
+    {!Precompile.machine}s built here, but cross-domain reuse is not
+    part of the contract.
     Supplying [staged] with [engine = `Interp] is an
     [Invalid_argument].  A reused staged program is bit-identical to a
     fresh compile (enforced by the batch qcheck suite).  [init]
@@ -116,24 +129,20 @@ val run :
     reliable transport configured by [net].
 
     [nic] attaches verified {!Xdp_nic.Prog} programs to processors
-    ([(pid, program)], 0-based): every directed value send to a
-    processor with a program attached is diverted through its NIC
-    ({!Xdp_nic.Fabric}) before reaching the board, under the
-    [nic_alpha]/[nic_beta]/[nic_op] cost axis.  The fabric sits above
-    the transport, so NIC state never sees retransmits or duplicates
-    — NIC programs are idempotent under faults.  Attach-time
+    ([(pid, program)], 0-based): every directed value send to such a
+    processor goes through its NIC, above the transport, under the
+    [nic_alpha]/[nic_beta]/[nic_op] cost axis ({!Comm}).  Attach-time
     verification failures (ill-typed programs, forwarding cycles,
     forwarding to an unattached processor) raise [Invalid_argument]
     with the positioned diagnostic.
-    @raise Xdp_net.Transport.Link_failed when a message is lost past
-    the transport's retry budget.
     [redist_stages] (default 0) is static planner metadata recorded
     verbatim into [stats.redist_stages]: the caller that lowered a
     collective redistribution schedule ({!Xdp.Plan_redist}) passes the
     stage count so reports and batch records can carry it next to the
     measured [stats.peak_inflight_bytes].
     @raise Xdp_net.Transport.Link_failed when a message is lost past
-    the transport's retry budget.
+    the transport's retry budget, whether or not a processor waits on
+    it.
     @raise Xdp_nic.Fabric.Nic_misuse when an attached program
     misbehaves dynamically (computed target or slot out of range). *)
 

@@ -5,20 +5,12 @@ module State = Xdp_symtab.State
 module Costmodel = Xdp_sim.Costmodel
 
 type world = {
-  w_pid1 : int;
-  w_nprocs : int;
   w_st : Symtab.t;
-  w_charge : float -> unit;
-  w_iown : string -> Box.t -> bool;
-  w_accessible : string -> Box.t -> bool;
-  w_await : string -> Box.t -> bool;
-  w_mylb : string -> Box.t -> int -> int option;
-  w_myub : string -> Box.t -> int -> int option;
   w_guard_eval : unit -> unit;
   w_guard_hit : unit -> unit;
   w_misuse : string -> exn;
   w_send_value :
-    arr:string -> box:Box.t -> dests:(unit -> int list option) -> unit;
+    arr:string -> box:Box.t -> dests:((int -> int) -> int list option) -> unit;
   w_send_owner : with_value:bool -> arr:string -> box:Box.t -> unit;
   w_recv_owner : with_value:bool -> arr:string -> box:Box.t -> unit;
   w_recv_value : into:string * Box.t -> from:string * Box.t -> unit;
@@ -71,12 +63,12 @@ type site = {
 }
 
 type machine = {
-  m_pid1 : int;
   m_ints : int array;
   m_flts : float array;
   m_vals : Value.t array;
   m_bnd : Bytes.t; (* per-variable bound flags *)
   m_sites : site array;
+  m_h : Evalexpr.hooks;
   m_w : world;
   (* reusable payload/scratch buffers of the inlined kernel path *)
   mutable m_kbuf : float array;
@@ -308,18 +300,16 @@ type ctx = {
   mutable fs_blockers : (string * int) list; (* blocking reason -> count *)
 }
 
+let bump counts k =
+  match List.assoc_opt k counts with
+  | Some n -> (k, n + 1) :: List.remove_assoc k counts
+  | None -> (k, 1) :: counts
+
 let record_run ctx len =
   ctx.fs_units <- ctx.fs_units + 1;
-  ctx.fs_run_hist <-
-    (match List.assoc_opt len ctx.fs_run_hist with
-    | Some n -> (len, n + 1) :: List.remove_assoc len ctx.fs_run_hist
-    | None -> (len, 1) :: ctx.fs_run_hist)
+  ctx.fs_run_hist <- bump ctx.fs_run_hist len
 
-let record_blocker ctx reason =
-  ctx.fs_blockers <-
-    (match List.assoc_opt reason ctx.fs_blockers with
-    | Some n -> (reason, n + 1) :: List.remove_assoc reason ctx.fs_blockers
-    | None -> (reason, 1) :: ctx.fs_blockers)
+let record_blocker ctx reason = ctx.fs_blockers <- bump ctx.fs_blockers reason
 
 let ty ctx e = ty_of ctx.tys SDyn e
 
@@ -362,7 +352,7 @@ let charged ctx p =
   else
     let c = Costmodel.tally_cost ctx.cm p.cost in
     fun m ->
-      m.m_w.w_charge c;
+      m.m_h.Evalexpr.charge c;
       p.run m
 
 (* Prefix cost (charged before the fragment runs). *)
@@ -389,7 +379,7 @@ let post ctx t p =
       run =
         (fun m ->
           let x = p.run m in
-          m.m_w.w_charge c;
+          m.m_h.Evalexpr.charge c;
           x);
     }
 
@@ -553,20 +543,20 @@ let exn_mod0 = Invalid_argument "Value: modulo by zero"
 let vtrue = Value.VBool true
 let vfalse = Value.VBool false
 
+let unbound v = Invalid_argument (Printf.sprintf "unbound scalar variable %s" v)
+
 let read_slot_check v (sl : slot) =
-  let ex = Invalid_argument (Printf.sprintf "unbound scalar variable %s" v) in
+  let ex = unbound v in
   fun m -> if Bytes.unsafe_get m.m_bnd sl.v_id = '\000' then raise ex
 
 let rec ci ctx e : int frag =
   match e with
   | Int n -> pure n
-  | Mypid -> lift (fun m -> m.m_pid1)
-  | Nprocs -> lift (fun m -> m.m_w.w_nprocs)
+  | Mypid -> lift (fun m -> m.m_h.Evalexpr.mypid1)
+  | Nprocs -> lift (fun m -> m.m_h.Evalexpr.nprocs)
   | Var v ->
       let sl = slot ctx v in
-      let ex =
-        Invalid_argument (Printf.sprintf "unbound scalar variable %s" v)
-      in
+      let ex = unbound v in
       let off = sl.v_off and id = sl.v_id in
       lift (fun m ->
           if Bytes.unsafe_get m.m_bnd id = '\000' then raise ex;
@@ -576,9 +566,7 @@ let rec ci ctx e : int frag =
          closure instead of a combinator chain (same check, same
          charge, same left-to-right order) *)
       let sl = slot ctx v in
-      let ex =
-        Invalid_argument (Printf.sprintf "unbound scalar variable %s" v)
-      in
+      let ex = unbound v in
       let off = sl.v_off and id = sl.v_id in
       let n = match op with Add -> n | _ -> -n in
       tcost ctx Costmodel.tally_int_op
@@ -605,29 +593,21 @@ let rec ci ctx e : int frag =
       tcost ctx Costmodel.tally_int_op c
   | Un (Neg, a) -> tcost ctx Costmodel.tally_int_op (map (fun x -> -x) (ci ctx a))
   | Mylb (s, d) ->
-      let cs = csec ctx s in
-      let arr = s.arr in
-      {
-        cost = cs.cost;
-        ab = cs.ab;
-        run =
-          (fun m ->
-            match m.m_w.w_mylb arr (cs.run m) d with
-            | Some i -> i
-            | None -> max_int);
-      }
+      let cs = csec ctx s and arr = s.arr in
+      let run m =
+        match m.m_h.Evalexpr.mylb arr (cs.run m) d with
+        | Some i -> i
+        | None -> max_int
+      in
+      { cs with run }
   | Myub (s, d) ->
-      let cs = csec ctx s in
-      let arr = s.arr in
-      {
-        cost = cs.cost;
-        ab = cs.ab;
-        run =
-          (fun m ->
-            match m.m_w.w_myub arr (cs.run m) d with
-            | Some i -> i
-            | None -> min_int);
-      }
+      let cs = csec ctx s and arr = s.arr in
+      let run m =
+        match m.m_h.Evalexpr.myub arr (cs.run m) d with
+        | Some i -> i
+        | None -> min_int
+      in
+      { cs with run }
   | _ -> assert false
 
 and cf ctx e : float frag =
@@ -635,9 +615,7 @@ and cf ctx e : float frag =
   | Float x -> pure x
   | Var v ->
       let sl = slot ctx v in
-      let ex =
-        Invalid_argument (Printf.sprintf "unbound scalar variable %s" v)
-      in
+      let ex = unbound v in
       let off = sl.v_off and id = sl.v_id in
       lift (fun m ->
           if Bytes.unsafe_get m.m_bnd id = '\000' then raise ex;
@@ -686,20 +664,12 @@ and cb ctx e : bool frag =
       let ca = c_bool ctx a in
       let br = charged ctx (c_bool ctx b) in
       tcost ctx Costmodel.tally_int_op
-        {
-          cost = ca.cost;
-          ab = true;
-          run = (fun m -> if ca.run m then br m else false);
-        }
+        { ca with ab = true; run = (fun m -> ca.run m && br m) }
   | Bin (Or, a, b) ->
       let ca = c_bool ctx a in
       let br = charged ctx (c_bool ctx b) in
       tcost ctx Costmodel.tally_int_op
-        {
-          cost = ca.cost;
-          ab = true;
-          run = (fun m -> if ca.run m then true else br m);
-        }
+        { ca with ab = true; run = (fun m -> ca.run m || br m) }
   | Bin (((Eq | Ne | Lt | Le | Gt | Ge) as op), a, b) ->
       let c =
         match (ty ctx a, ty ctx b) with
@@ -789,28 +759,21 @@ and c_query ctx (s : section) which =
       site.s_qstate <- state;
       site.s_qvisits <- Symtab.descriptor_visits st - v0
     end;
-    m.m_w.w_charge (float_of_int site.s_qvisits *. td);
+    m.m_h.Evalexpr.charge (float_of_int site.s_qvisits *. td);
     site.s_qstate
   in
-  match which with
-  | `Await ->
-      {
-        cost = cs.cost;
-        ab = true;
-        run =
-          (fun m ->
-            let box = cs.run m in
-            match lookup m box with
-            | State.Unowned -> false
-            | State.Accessible -> true
-            | State.Transitional -> raise (Evalexpr.Blocked_on (arr, box)));
-      }
-  | `Iown | `Accessible ->
-      {
-        cost = cs.cost;
-        ab = true;
-        run = (fun m -> lookup m (cs.run m) = State.Accessible);
-      }
+  let run =
+    match which with
+    | `Await -> (
+        fun m ->
+          let box = cs.run m in
+          match lookup m box with
+          | State.Unowned -> false
+          | State.Accessible -> true
+          | State.Transitional -> raise (Evalexpr.Blocked_on (arr, box)))
+    | `Iown | `Accessible -> fun m -> lookup m (cs.run m) = State.Accessible
+  in
+  { cost = cs.cost; ab = true; run }
 
 (* Any expression in boolean position (guards, if-conditions, and/or
    operands): statically-bool goes unboxed, everything else through
@@ -845,21 +808,13 @@ and cvd ctx e =
   | Bin (And, a, b) ->
       let ca = c_bool ctx a in
       let br = charged ctx (cv ctx b) in
-      tcost ctx Costmodel.tally_int_op
-        {
-          cost = ca.cost;
-          ab = true;
-          run = (fun m -> if ca.run m then br m else vfalse);
-        }
+      let run m = if ca.run m then br m else vfalse in
+      tcost ctx Costmodel.tally_int_op { ca with ab = true; run }
   | Bin (Or, a, b) ->
       let ca = c_bool ctx a in
       let br = charged ctx (cv ctx b) in
-      tcost ctx Costmodel.tally_int_op
-        {
-          cost = ca.cost;
-          ab = true;
-          run = (fun m -> if ca.run m then vtrue else br m);
-        }
+      let run m = if ca.run m then vtrue else br m in
+      tcost ctx Costmodel.tally_int_op { ca with ab = true; run }
   | Bin (op, a, b) ->
       tcost ctx Costmodel.tally_int_op
         (map2 ctx (Value.binop op) (cv ctx a) (cv ctx b))
@@ -896,13 +851,8 @@ and c_fill ctx k idxs =
     let rec fill d = function
       | [] -> pure ()
       | ce :: es ->
-          let st =
-            {
-              cost = ce.cost;
-              ab = ce.ab;
-              run = (fun m -> m.m_sites.(k).s_idx.(d) <- ce.run m);
-            }
-          in
+          let run m = m.m_sites.(k).s_idx.(d) <- ce.run m in
+          let st = { ce with run } in
           seq2 ctx st (fill (d + 1) es)
     in
     fill 0 ces
@@ -915,14 +865,11 @@ and celem ctx arr idxs =
     (fun log -> ctx.read_log <- Some ((arr, idxs, k) :: log))
     ctx.read_log;
   let filled = post ctx Costmodel.tally_mem (c_fill ctx k idxs) in
-  {
-    cost = filled.cost;
-    ab = true;
-    run =
-      (fun m ->
-        filled.run m;
-        read_site m k arr);
-  }
+  let run m =
+    filled.run m;
+    read_site m k arr
+  in
+  { filled with ab = true; run }
 
 (* Section resolution.  Per-dimension selectors evaluate left to
    right; inside a Slice the interpreter's [Triplet.make ~lo ~hi
@@ -1729,7 +1676,7 @@ and cstmt_k ctx (s : stmt) : sc =
       let bodyb = cblock ctx body in
       let test m =
         m.m_w.w_guard_eval ();
-        if head <> 0.0 then m.m_w.w_charge head;
+        if head <> 0.0 then m.m_h.Evalexpr.charge head;
         let b = try cg.run m with Evalexpr.Unowned_ref _ -> false in
         if b then m.m_w.w_guard_hit ();
         b
@@ -1799,9 +1746,9 @@ and cstmt_k ctx (s : stmt) : sc =
                     incr t
                   done
                 with e ->
-                  m.m_w.w_charge (int_op +. (float_of_int !t *. iter));
+                  m.m_h.Evalexpr.charge (int_op +. (float_of_int !t *. iter));
                   set m !cur;
-                  m.m_w.w_charge int_op;
+                  m.m_h.Evalexpr.charge int_op;
                   ignore (charged m : int);
                   raise e
               in
@@ -1811,7 +1758,7 @@ and cstmt_k ctx (s : stmt) : sc =
                   if step <= 0 then
                     raise (m.m_w.w_misuse "non-positive loop step");
                   if lo > hi then begin
-                    m.m_w.w_charge int_op;
+                    m.m_h.Evalexpr.charge int_op;
                     1
                   end
                   else begin
@@ -1820,7 +1767,7 @@ and cstmt_k ctx (s : stmt) : sc =
                     | Some sp when run_strip sp m ~lo ~step ~n ->
                         set m (lo + ((n - 1) * step))
                     | _ -> per_element m lo hi step);
-                    m.m_w.w_charge (int_op +. (float_of_int n *. iter));
+                    m.m_h.Evalexpr.charge (int_op +. (float_of_int n *. iter));
                     1 + n
                   end)
           | _ -> None
@@ -1828,7 +1775,7 @@ and cstmt_k ctx (s : stmt) : sc =
       let code m =
         let lo, hi, step = tripr m in
         if step <= 0 then raise (m.m_w.w_misuse "non-positive loop step");
-        m.m_w.w_charge int_op;
+        m.m_h.Evalexpr.charge int_op;
         if lo <= hi then
           A_loop
             {
@@ -1853,13 +1800,13 @@ and cstmt_k ctx (s : stmt) : sc =
                     let lo, hi, step = tripr m in
                     if step <= 0 then
                       raise (m.m_w.w_misuse "non-positive loop step");
-                    m.m_w.w_charge int_op;
+                    m.m_h.Evalexpr.charge int_op;
                     let n = ref 1 in
                     let cur = ref lo in
                     while !cur <= hi do
                       set m !cur;
                       cur := !cur + step;
-                      m.m_w.w_charge int_op;
+                      m.m_h.Evalexpr.charge int_op;
                       n := !n + bf m
                     done;
                     !n)
@@ -1886,59 +1833,38 @@ and cstmt_k ctx (s : stmt) : sc =
           | _ -> None);
         sc_solo = true;
       }
-  | Send_value (s, dest) -> (
-      let r = charged ctx (csec ctx s) in
-      let arr = s.arr in
-      match dest with
-      | Unspecified ->
-          let none_thunk () = None in
-          stmt (fun m ->
-              let box = r m in
-              m.m_w.w_send_value ~arr ~box ~dests:none_thunk;
+  | Send_value (sec, dest) ->
+      let r = charged ctx (csec ctx sec) in
+      let arr = sec.arr in
+      let dests =
+        match dest with
+        | Unspecified -> fun _ _ -> None
+        | Directed es ->
+            let cds = List.map (fun e -> charged ctx (c_idx ctx e)) es in
+            fun m check -> Some (List.map (fun dr -> check (dr m)) cds)
+      in
+      stmt (fun m ->
+          let box = r m in
+          m.m_w.w_send_value ~arr ~box ~dests:(dests m);
+          A_next)
+  | Send_owner sec | Send_owner_value sec | Recv_owner sec
+  | Recv_owner_value sec ->
+      let r = charged ctx (csec ctx sec) and arr = sec.arr in
+      let with_value =
+        match s with
+        | Send_owner_value _ | Recv_owner_value _ -> true
+        | _ -> false
+      in
+      stmt
+        (match s with
+        | Send_owner _ | Send_owner_value _ ->
+            fun m ->
+              m.m_w.w_send_owner ~with_value ~arr ~box:(r m);
+              A_next
+        | _ ->
+            fun m ->
+              m.m_w.w_recv_owner ~with_value ~arr ~box:(r m);
               A_next)
-      | Directed es ->
-          let cds = List.map (fun e -> charged ctx (c_idx ctx e)) es in
-          stmt (fun m ->
-              let box = r m in
-              m.m_w.w_send_value ~arr ~box
-                ~dests:(fun () ->
-                  Some
-                    (List.map
-                       (fun dr ->
-                         let pid1 = dr m in
-                         if pid1 < 1 || pid1 > m.m_w.w_nprocs then
-                           raise
-                             (m.m_w.w_misuse
-                                (Printf.sprintf
-                                   "send directed to invalid processor %d"
-                                   pid1));
-                         pid1 - 1)
-                       cds));
-              A_next))
-  | Send_owner s ->
-      let r = charged ctx (csec ctx s) in
-      let arr = s.arr in
-      stmt (fun m ->
-          m.m_w.w_send_owner ~with_value:false ~arr ~box:(r m);
-          A_next)
-  | Send_owner_value s ->
-      let r = charged ctx (csec ctx s) in
-      let arr = s.arr in
-      stmt (fun m ->
-          m.m_w.w_send_owner ~with_value:true ~arr ~box:(r m);
-          A_next)
-  | Recv_owner s ->
-      let r = charged ctx (csec ctx s) in
-      let arr = s.arr in
-      stmt (fun m ->
-          m.m_w.w_recv_owner ~with_value:false ~arr ~box:(r m);
-          A_next)
-  | Recv_owner_value s ->
-      let r = charged ctx (csec ctx s) in
-      let arr = s.arr in
-      stmt (fun m ->
-          m.m_w.w_recv_owner ~with_value:true ~arr ~box:(r m);
-          A_next)
   | Recv_value { into; from } ->
       let cinto = csec ctx into and cfrom = csec ctx from in
       let both = map2 ctx (fun a b -> (a, b)) cinto cfrom in
@@ -2031,7 +1957,7 @@ and cstmt_k ctx (s : stmt) : sc =
                       let flops =
                         5.0 *. float_of_int n *. Xdp.Kernels.log2f n
                       in
-                      m.m_w.w_charge
+                      m.m_h.Evalexpr.charge
                         ((flops *. flop)
                         +. (2.0 *. float_of_int n *. mem));
                       1)
@@ -2143,18 +2069,6 @@ let array_slot cp name =
   | None -> invalid_arg ("Precompile.array_slot: undeclared array " ^ name)
 let fusion_stats cp = cp.c_fstats
 
-let fusion_digest cp =
-  let s = cp.c_fstats in
-  let b = Buffer.create 128 in
-  Printf.bprintf b
-    "stmts=%d fusable=%d units=%d loops=%d batched=%d kernels=%d hist="
-    s.fs_statements s.fs_fusable s.fs_fused_units s.fs_spec_loops
-    s.fs_batched_loops s.fs_inlined_kernels;
-  List.iter (fun (l, n) -> Printf.bprintf b "%d:%d," l n) s.fs_run_hist;
-  Printf.bprintf b " blockers=";
-  List.iter (fun (r, n) -> Printf.bprintf b "%s:%d," r n) s.fs_blockers;
-  Digest.to_hex (Digest.string (Buffer.contents b))
-
 let fuse_default =
   match Sys.getenv_opt "XDP_NO_FUSE" with
   | None | Some "" | Some "0" -> true
@@ -2235,15 +2149,15 @@ let compile ?(fuse = fuse_default) ~cost ~kernels ~scalars (p : program) =
     c_decl_ix = decl_ix;
   }
 
-let machine cp w =
+let machine cp h w =
   let m =
     {
-      m_pid1 = w.w_pid1;
       m_ints = Array.make cp.c_nints 0;
       m_flts = Array.make cp.c_nflts 0.0;
       m_vals = Array.make cp.c_nvals vfalse;
       m_bnd = Bytes.make cp.c_nvars '\000';
       m_sites = Array.map fresh_site cp.c_site_ranks;
+      m_h = h;
       m_w = w;
       m_kbuf = [||];
       m_ktmp = [||];

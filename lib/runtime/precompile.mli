@@ -53,29 +53,24 @@
 
 open Xdp_util
 
-(** The per-processor execution context a compiled program runs
-    against, supplied by {!Exec}: charged intrinsic oracles, the
-    charge sink, misuse diagnostics, and the transfer cores shared
+(** What the compiled engine needs of its processor beyond the
+    {!Evalexpr.hooks} the interpreter uses (pid, machine size, charge
+    sink, [mylb]/[myub]), supplied by {!Exec}: the symbol table, the
+    guard counters, misuse diagnostics, and the transfer cores shared
     with the interpreter (which own the per-event charges for
     sends/receives/awaits). *)
 type world = {
-  w_pid1 : int;  (** 1-based pid *)
-  w_nprocs : int;
   w_st : Xdp_symtab.Symtab.t;
-  w_charge : float -> unit;
-  w_iown : string -> Box.t -> bool;  (** descriptor-charged *)
-  w_accessible : string -> Box.t -> bool;  (** descriptor-charged *)
-  w_await : string -> Box.t -> bool;
-      (** descriptor-charged; raises [Blocked_on] on transitional *)
-  w_mylb : string -> Box.t -> int -> int option;
-  w_myub : string -> Box.t -> int -> int option;
   w_guard_eval : unit -> unit;
   w_guard_hit : unit -> unit;
   w_misuse : string -> exn;
       (** wraps a diagnostic in [Exec.Xdp_misuse] with pid/clock
           context captured at raise time *)
   w_send_value :
-    arr:string -> box:Box.t -> dests:(unit -> int list option) -> unit;
+    arr:string -> box:Box.t -> dests:((int -> int) -> int list option) -> unit;
+      (** [dests check] evaluates the destinations, passing each 1-based
+          pid through [check], which rejects an invalid one and returns
+          it 0-based *)
   w_send_owner : with_value:bool -> arr:string -> box:Box.t -> unit;
   w_recv_owner : with_value:bool -> arr:string -> box:Box.t -> unit;
   w_recv_value : into:string * Box.t -> from:string * Box.t -> unit;
@@ -84,7 +79,7 @@ type world = {
 
 type machine
 (** The mutable state of one processor's compiled execution: slot
-    frames, per-site inline caches, and its {!world}. *)
+    frames, per-site inline caches, its hooks and its {!world}. *)
 
 (** What executing one compiled statement asks the scheduler to do
     next; mirrors the interpreter's frame discipline exactly (one
@@ -172,7 +167,7 @@ type fusion_stats = {
   fs_batched_loops : int;  (** loops charging one batched tally *)
   fs_strip_loops : int;
       (** batched loops that also have a strip form (column-at-a-time
-          over unboxed floats); not part of {!fusion_digest} *)
+          over unboxed floats); not part of the golden fusion digest *)
   fs_inlined_kernels : int;  (** inlined kernel call sites *)
   fs_blockers : (string * int) list;
       (** why statements have no fused form: blocking reason -> count,
@@ -190,11 +185,7 @@ type fusion_stats = {
 
 val fusion_stats : cprog -> fusion_stats
 
-val fusion_digest : cprog -> string
-(** Hex digest of a canonical rendering of {!fusion_stats} — pinned by
-    the golden tests so the fusion pass's region analysis cannot drift
-    silently. *)
-
-(** [machine cp w] — fresh per-processor state (slots seeded from the
-    scalar preload, caches cold). *)
-val machine : cprog -> world -> machine
+(** [machine cp h w] — fresh per-processor state over the processor's
+    hooks [h] and world [w] (slots seeded from the scalar preload,
+    caches cold). *)
+val machine : cprog -> Evalexpr.hooks -> world -> machine

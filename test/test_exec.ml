@@ -113,6 +113,73 @@ let test_deadlock_detection () =
        (* message names the waiting processor *)
        String.length msg > 0)
 
+(* The whole Deadlock text for one small program, on both engines: P1
+   waits on a receive from Y[2] while P2 sends X[2] that nobody
+   receives. *)
+let test_deadlock_text () =
+  let p =
+    program ~name:"stuck"
+      ~decls:
+        [
+          decl ~name:"X" ~shape:[ 2 ] ~dist:[ Xdp_dist.Dist.Block ]
+            ~grid:(grid 2) ();
+          decl ~name:"Y" ~shape:[ 2 ] ~dist:[ Xdp_dist.Dist.Block ]
+            ~grid:(grid 2) ();
+        ]
+      [
+        (mypid =: i 1)
+        @: [
+             recv ~into:(sec "X" [ at (i 1) ]) ~from:(sec "Y" [ at (i 2) ]);
+             await (sec "X" [ at (i 1) ]) @: [ setv "x" (i 1) ];
+           ];
+        (mypid =: i 2) @: [ send (sec "X" [ at (i 2) ]) ];
+      ]
+  in
+  List.iter
+    (fun engine ->
+      match Exec.run ~engine ~nprocs:2 p with
+      | (_ : Exec.result) -> Alcotest.fail "expected deadlock"
+      | exception Exec.Deadlock msg ->
+          Alcotest.(check string) "deadlock text"
+            "stuck: all processors blocked or done with nothing in flight \
+             (no messages lost \u{2014} the program is missing a matching \
+             send or receive):\n\
+             P1 waits on X[1]\n\
+             pending sends: 1, pending recvs: 1\n\
+             sends: X[2] from P2\n\
+             recvs: Y[2] by P1"
+            msg)
+    [ `Interp; `Compiled ]
+
+(* A directed send to a processor outside 1..P is a misuse, raised by
+   the first bad destination in order (so later destinations are never
+   evaluated), at the clock reached by then, on both engines. *)
+let test_invalid_destination () =
+  let p dests =
+    program ~name:"badsend"
+      ~decls:
+        [ decl ~name:"A" ~shape:[ 4 ] ~dist:[ Xdp_dist.Dist.Block ] ~grid:(grid 2) () ]
+      [ setv "x" (i 3); (mypid =: i 1) @: [ send_to (sec "A" [ at (i 1) ]) dests ] ]
+  in
+  let outcome engine dests =
+    match Exec.run ~engine ~nprocs:2 (p dests) with
+    | (_ : Exec.result) -> "ok"
+    | exception Exec.Xdp_misuse m -> m
+    | exception Invalid_argument m -> "invalid: " ^ m
+  in
+  List.iter
+    (fun engine ->
+      Alcotest.(check string) "second destination bad"
+        "P1 at t=7.5 in badsend: send directed to invalid processor 6"
+        (outcome engine [ i 2; var "x" +: (i 1 *: var "x") ]);
+      Alcotest.(check string) "first destination bad, second never evaluated"
+        "P1 at t=6.5 in badsend: send directed to invalid processor 0"
+        (outcome engine [ i 0; var "y" ]);
+      Alcotest.(check string) "unbound destination first"
+        "invalid: unbound scalar variable y"
+        (outcome engine [ var "y"; i 0 ]))
+    [ `Interp; `Compiled ]
+
 let test_unmatched_reported () =
   (* a send nobody receives is reported in stats, not an error *)
   let p = prog [ iown (sec "A" [ at (i 1) ]) @: [ send (sec "A" [ at (i 1) ]) ] ] in
@@ -199,6 +266,9 @@ let () =
             test_misuse_diagnostics;
           Alcotest.test_case "deadlock detection" `Quick
             test_deadlock_detection;
+          Alcotest.test_case "deadlock text" `Quick test_deadlock_text;
+          Alcotest.test_case "invalid send destination" `Quick
+            test_invalid_destination;
           Alcotest.test_case "unmatched reported" `Quick
             test_unmatched_reported;
           Alcotest.test_case "determinism" `Quick test_determinism;

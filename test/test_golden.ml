@@ -280,23 +280,34 @@ let test_engine_parity_goldens () =
     [ `Interp; `Compiled ]
 
 (* ---- fusion-statistics golden: the superinstruction pass's region
-   analysis is pinned by digest (Precompile.fusion_digest hashes the
-   full fusion_stats record: statement counts, run-length histogram,
-   specialized/batched loops, inlined kernel sites).  Compiled with
+   analysis is pinned by digest ([fusion_digest] hashes the fusion_stats
+   record: statement counts, run-length histogram, specialized/batched
+   loops, inlined kernel sites, blockers).  Compiled with
    [~fuse:true] explicitly, so the pin holds regardless of what
    XDP_NO_FUSE made the session default.  A drift here means the
    analysis started classifying abortable boundaries differently —
    exactly the kind of silent change the differential suite might
    survive by accident (both engines agreeing on a *wrong* region). *)
+let fusion_digest (s : Xdp_runtime.Precompile.fusion_stats) =
+  let b = Buffer.create 128 in
+  Printf.bprintf b
+    "stmts=%d fusable=%d units=%d loops=%d batched=%d kernels=%d hist="
+    s.fs_statements s.fs_fusable s.fs_fused_units s.fs_spec_loops
+    s.fs_batched_loops s.fs_inlined_kernels;
+  List.iter (fun (l, n) -> Printf.bprintf b "%d:%d," l n) s.fs_run_hist;
+  Printf.bprintf b " blockers=";
+  List.iter (fun (r, n) -> Printf.bprintf b "%s:%d," r n) s.fs_blockers;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
 let test_fusion_digests () =
   let digest prog =
-    let cp =
-      Xdp_runtime.Precompile.compile ~fuse:true
-        ~cost:Xdp_sim.Costmodel.message_passing ~kernels:Xdp.Kernels.default
-        ~scalars:[] prog
+    let fs =
+      Xdp_runtime.Precompile.fusion_stats
+        (Xdp_runtime.Precompile.compile ~fuse:true
+           ~cost:Xdp_sim.Costmodel.message_passing ~kernels:Xdp.Kernels.default
+           ~scalars:[] prog)
     in
-    (Xdp_runtime.Precompile.fusion_digest cp,
-     Xdp_runtime.Precompile.fusion_stats cp)
+    (fusion_digest fs, fs)
   in
   let d_fft, fs_fft =
     digest

@@ -266,6 +266,55 @@ let test_crash_stop () =
   | (_ : Exec.result) -> Alcotest.fail "crashed processor went unnoticed"
   | exception Transport.Link_failed _ -> ()
 
+(* The whole Link_failed text for a two-processor exchange over a dead
+   P1 -> P2 link, with and without a waiter on the lost receive.  The
+   stuck-run check runs only once the wire has settled, so a lost
+   message nobody awaits fails the run through the same diagnostic,
+   with an empty waiting set. *)
+let lost_exchange ~awaited =
+  let open Xdp.Build in
+  let grid = Xdp_dist.Grid.linear 2 in
+  let into = sec "X" [ at (i 2) ] in
+  program
+    ~name:(if awaited then "lost" else "unawaited")
+    ~decls:[ decl ~name:"X" ~shape:[ 2 ] ~dist:[ Xdp_dist.Dist.Block ] ~grid () ]
+    [
+      (mypid =: i 1) @: [ send (sec "X" [ at (i 1) ]) ];
+      (mypid =: i 2)
+      @: (recv ~into ~from:(sec "X" [ at (i 1) ])
+         :: (if awaited then [ await into @: [ setv "x" (i 1) ] ] else []));
+    ]
+
+let check_lost_text ~awaited expected =
+  let fault =
+    Faultplan.make ~seed:7
+      ~links:[ ((0, 1), { Faultplan.reliable with drop = 1.0 }) ]
+      ~deliver_after:max_int ()
+  in
+  List.iter
+    (fun engine ->
+      match
+        Exec.run ~engine ~nprocs:2 ~fault ~net:net_small_retries
+          (lost_exchange ~awaited)
+      with
+      | (_ : Exec.result) -> Alcotest.fail "lost message went unnoticed"
+      | exception Transport.Link_failed msg ->
+          Alcotest.(check string) "link failure text" expected msg)
+    [ `Interp; `Compiled ]
+
+let test_lost_text () =
+  check_lost_text ~awaited:true
+    "lost: blocked on messages dropped past max retries:\n\
+    \  P1 -> P2 X[1] lost after 4 attempts\n\
+     waiting:\n\
+     P2 waits on X[2]"
+
+let test_lost_unawaited_text () =
+  check_lost_text ~awaited:false
+    "unawaited: blocked on messages dropped past max retries:\n\
+    \  P1 -> P2 X[1] lost after 4 attempts\n\
+     waiting:\n"
+
 (* Fault-free programs with genuinely missing partners still deadlock
    with the "nothing in flight" diagnosis, not a link failure. *)
 let test_plain_deadlock_distinguished () =
@@ -545,6 +594,10 @@ let () =
             test_dead_link_diagnosed;
           Alcotest.test_case "100% drop everywhere" `Quick test_all_links_dead;
           Alcotest.test_case "crash-stop processor" `Quick test_crash_stop;
+          Alcotest.test_case "lost message text, awaited" `Quick
+            test_lost_text;
+          Alcotest.test_case "lost message text, nobody waits" `Quick
+            test_lost_unawaited_text;
           Alcotest.test_case "plain deadlock still distinguished" `Quick
             test_plain_deadlock_distinguished;
         ] );

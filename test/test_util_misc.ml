@@ -1,4 +1,4 @@
-(* Tests for the PRNG, stats helpers and the table renderer. *)
+(* Tests for the PRNG, the table renderer and the binary heap. *)
 
 open Xdp_util
 
@@ -33,17 +33,6 @@ let test_shuffle_permutes () =
   let l = List.init 20 Fun.id in
   let s = Prng.shuffle rng l in
   Alcotest.(check (list int)) "same multiset" l (List.sort compare s)
-
-let test_stats () =
-  let xs = [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ] in
-  Alcotest.(check (float 1e-9)) "mean" 5.0 (Stats.mean xs);
-  Alcotest.(check (float 1e-6)) "stddev" 2.13809 (Stats.stddev xs);
-  Alcotest.(check (float 1e-9)) "min" 2.0 (Stats.min_ xs);
-  Alcotest.(check (float 1e-9)) "max" 9.0 (Stats.max_ xs);
-  Alcotest.(check (float 1e-9)) "median" 4.5 (Stats.percentile 50.0 xs);
-  Alcotest.(check (float 1e-9)) "p0" 2.0 (Stats.percentile 0.0 xs);
-  Alcotest.(check (float 1e-9)) "p100" 9.0 (Stats.percentile 100.0 xs);
-  Alcotest.(check (float 1e-9)) "imbalance" 1.8 (Stats.imbalance xs)
 
 let test_table_renders () =
   let s =
@@ -87,13 +76,6 @@ let prop_heap_sorts =
       in
       drain [] = List.sort Int.compare xs && Heap.is_empty h)
 
-let prop_percentile_bounded =
-  QCheck.Test.make ~name:"percentile within min..max" ~count:200
-    QCheck.(pair (list_of_size Gen.(int_range 1 20) (float_bound_exclusive 100.0)) (float_bound_inclusive 100.0))
-    (fun (xs, p) ->
-      let v = Stats.percentile p xs in
-      v >= Stats.min_ xs -. 1e-9 && v <= Stats.max_ xs +. 1e-9)
-
 let () =
   Alcotest.run "util_misc"
     [
@@ -103,11 +85,6 @@ let () =
           Alcotest.test_case "ranges" `Quick test_prng_ranges;
           Alcotest.test_case "split" `Quick test_prng_split_independent;
           Alcotest.test_case "shuffle" `Quick test_shuffle_permutes;
-        ] );
-      ( "stats",
-        [
-          Alcotest.test_case "descriptive" `Quick test_stats;
-          QCheck_alcotest.to_alcotest prop_percentile_bounded;
         ] );
       ( "table",
         [
