@@ -436,6 +436,58 @@ let test_redist_schedule_digest () =
   Alcotest.(check bool) "naive over budget" true
     (info.Xdp.Plan_redist.naive_peak > 400)
 
+(* ---- sequential reference golden: [Seq] is the oracle every SPMD
+   result is checked against, so its own output is pinned bit for bit.
+   The digest hashes every array (name, shape, each element in
+   row-major order printed with [%h]) and every final scalar (sorted by
+   name; ints, bools and floats rendered exactly).  Captured from the
+   tree-walking interpreter before the reference was staged. *)
+
+let seq_digest (r : Xdp_runtime.Seq.result) =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (name, t) ->
+      Printf.bprintf b "%s[%s]:" name
+        (String.concat "," (List.map string_of_int (Xdp_util.Tensor.shape t)));
+      Xdp_util.Box.iter
+        (fun idx -> Printf.bprintf b "%h," (Xdp_util.Tensor.get t idx))
+        (Xdp_util.Tensor.full_box t);
+      Buffer.add_char b '\n')
+    r.arrays;
+  List.iter
+    (fun (name, v) ->
+      match v with
+      | Xdp_runtime.Value.VInt n -> Printf.bprintf b "%s=i%d\n" name n
+      | Xdp_runtime.Value.VFloat x -> Printf.bprintf b "%s=f%h\n" name x
+      | Xdp_runtime.Value.VBool x -> Printf.bprintf b "%s=b%b\n" name x)
+    (List.sort (fun (a, _) (b, _) -> compare a b) r.scalars);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_seq_digests () =
+  let check name expected ~init prog =
+    Alcotest.(check string) (name ^ ": sequential digest") expected
+      (seq_digest (Xdp_runtime.Seq.run ~init prog))
+  in
+  check "jacobi2d n=32 x3" "9eac59b512ad572715bb25f9d926fe17"
+    ~init:Xdp_apps.Jacobi2d.init
+    (Xdp_apps.Jacobi2d.build ~n:32 ~pr:1 ~pc:1 ~sweeps:3
+       ~stage:Xdp_apps.Jacobi2d.Sequential ());
+  check "jacobi n=64 x4" "f2b3a08b9535022d9e1269e7c9e92c0c"
+    ~init:Xdp_apps.Jacobi.init
+    (Xdp_apps.Jacobi.build ~n:64 ~nprocs:4 ~sweeps:4
+       ~stage:Xdp_apps.Jacobi.Sequential ());
+  check "fft3d n=8" "0bfbe57c32d0dea0ea7d9c981756c308"
+    ~init:Xdp_apps.Fft3d.init
+    (Xdp_apps.Fft3d.sequential ~n:8 ~nprocs:4);
+  check "vecadd n=16" "c6b819e2251a749ed93c2d10f1f55dc8"
+    ~init:Xdp_apps.Vecadd.init
+    (Xdp_apps.Vecadd.build ~n:16 ~nprocs:4 ~stage:Xdp_apps.Vecadd.Sequential
+       ());
+  check "reduce n=12" "2de272c5e0fc22e72b7b0843f2241d55"
+    ~init:Xdp_apps.Reduce.init
+    (Xdp_apps.Reduce.build ~n:12 ~nprocs:4 ~stage:Xdp_apps.Reduce.Sequential
+       ())
+
 let () =
   Alcotest.run "golden"
     [
@@ -455,6 +507,8 @@ let () =
             test_determinism_fft3d_faulty;
           Alcotest.test_case "collective redistribution schedule digest" `Quick
             test_redist_schedule_digest;
+          Alcotest.test_case "sequential reference digests" `Quick
+            test_seq_digests;
         ] );
       ( "paper listings",
         [
