@@ -158,26 +158,3 @@ and resolve_section h env s =
 let eval_guard h env g =
   h.charge h.cm.time_guard;
   try Value.to_bool (eval h env g) with Unowned_ref _ -> false
-
-let sequential_hooks ~shape_of ~elem ~cm =
-  let full name box d =
-    ignore name;
-    Some (Triplet.first (Box.dim box d))
-  and full_ub name box d =
-    ignore name;
-    Some (Triplet.last (Box.dim box d))
-  in
-  {
-    mypid1 = 1;
-    nprocs = 1;
-    shape_of;
-    elem;
-    iown = (fun _ _ -> true);
-    accessible = (fun _ _ -> true);
-    await = (fun _ _ -> true);
-    mylb = full;
-    myub = full_ub;
-    charge = (fun _ -> ());
-    cm;
-    scratch = Scratch.create ();
-  }

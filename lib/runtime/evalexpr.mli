@@ -1,9 +1,10 @@
-(** The shared IL expression evaluator, parameterized over the data
-    and ownership oracle of its host interpreter.
+(** The SPMD executor's IL expression evaluator, parameterized over
+    the data and ownership oracle of the evaluating processor.
 
-    Both the sequential reference interpreter ({!Seq}) and the SPMD
-    executor ({!Exec}) evaluate expressions with these rules; they
-    differ only in their {!hooks}:
+    {!Exec}'s interpreter evaluates expressions with these rules (the
+    staged engine, {!Precompile}, replicates them; the sequential
+    reference {!Seq} is written independently).  What a processor can
+    see comes through its {!hooks}:
 
     - a reference to the {e value} of an unowned element raises
       {!Unowned_ref}; {!eval_guard} catches it and makes the whole
@@ -63,11 +64,3 @@ val resolve_section : hooks -> env -> section -> Box.t
 (** Compute-rule evaluation: [Unowned_ref] inside the rule makes it
     false; [Blocked_on] propagates (the caller blocks). *)
 val eval_guard : hooks -> env -> expr -> bool
-
-(** Hooks for a sequential machine that owns everything (used by
-    {!Seq} and available for testing). *)
-val sequential_hooks :
-  shape_of:(string -> int list) ->
-  elem:(string -> int array -> float) ->
-  cm:Xdp_sim.Costmodel.t ->
-  hooks

@@ -56,6 +56,15 @@ let get_a t idx =
   let n = Array.length t.shape in
   if Array.length idx <> n then invalid_arg "Tensor: rank mismatch";
   t.data.(offset_a_from t idx 0 n 0)
+
+(* [set]'s check order: bounds dimension by dimension over the shorter
+   of index and shape, then the rank. *)
+let set_a t idx v =
+  let n = Array.length t.shape and k = Array.length idx in
+  let off = offset_a_from t idx 0 (min n k) 0 in
+  if k <> n then invalid_arg "Tensor: rank mismatch";
+  t.data.(off) <- v
+
 let fill t v = Array.fill t.data 0 (Array.length t.data) v
 
 let copy t =

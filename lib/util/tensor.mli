@@ -29,6 +29,11 @@ val set : t -> int list -> float -> unit
 (** {!get} over an [int array] index vector; allocation-free. *)
 val get_a : t -> int array -> float
 
+(** {!set} over an [int array] index vector; allocation-free, with
+    {!set}'s diagnostics in {!set}'s order (bounds dimension by
+    dimension, then the rank). *)
+val set_a : t -> int array -> float -> unit
+
 val fill : t -> float -> unit
 val copy : t -> t
 

@@ -8,7 +8,7 @@ module V = Xdp_runtime.Value
 let hooks ?(owned = fun _ _ -> true) ?(accessible = fun _ _ -> true)
     ?(elem = fun _ _ -> 1.5) () =
   let base =
-    E.sequential_hooks
+    Sequential_hooks.make
       ~shape_of:(fun _ -> [ 4; 8 ])
       ~elem:(fun name idx ->
         let idx = Array.to_list idx in

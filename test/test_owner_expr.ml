@@ -7,7 +7,7 @@ open Xdp.Build
 let eval_pid1 e ~i_val =
   (* evaluate an owner expression with i bound *)
   let hooks =
-    Xdp_runtime.Evalexpr.sequential_hooks
+    Sequential_hooks.make
       ~shape_of:(fun _ -> [ 1 ])
       ~elem:(fun _ _ -> 0.0)
       ~cm:Xdp_sim.Costmodel.idealized
@@ -49,7 +49,7 @@ let test_star_dims_ignored () =
   match Xdp.Owner_expr.of_section l (sec "A" [ all; at (i 6) ]) with
   | Some e ->
       let hooks =
-        Xdp_runtime.Evalexpr.sequential_hooks
+        Sequential_hooks.make
           ~shape_of:(fun _ -> [ 1 ])
           ~elem:(fun _ _ -> 0.0)
           ~cm:Xdp_sim.Costmodel.idealized
@@ -65,7 +65,7 @@ let test_2d_grid () =
   in
   (* every element position must agree *)
   let hooks =
-    Xdp_runtime.Evalexpr.sequential_hooks
+    Sequential_hooks.make
       ~shape_of:(fun _ -> [ 1 ])
       ~elem:(fun _ _ -> 0.0)
       ~cm:Xdp_sim.Costmodel.idealized

@@ -98,7 +98,7 @@ let gen_pure_expr =
 
 let eval_int_expr env e =
   let hooks =
-    Xdp_runtime.Evalexpr.sequential_hooks
+    Sequential_hooks.make
       ~shape_of:(fun _ -> [ 1 ])
       ~elem:(fun _ _ -> 0.0)
       ~cm:Xdp_sim.Costmodel.idealized

@@ -23,6 +23,37 @@ let test_bounds () =
          with Invalid_argument _ -> true))
     [ [ 0; 1 ]; [ 3; 1 ]; [ 1; 0 ]; [ 1 ]; [ 1; 1; 1 ] ]
 
+(* [set_a] is [set] over an index array: a round trip through [get_a],
+   and every failing index gives [set]'s exact diagnostic — including
+   which of bounds and rank is reported when both are wrong. *)
+let test_set_a () =
+  let t = Tensor.create [ 3; 4 ] in
+  Tensor.set_a t [| 2; 3 |] 42.0;
+  Alcotest.(check (float 0.0)) "round trip" 42.0 (Tensor.get_a t [| 2; 3 |]);
+  Alcotest.(check (float 0.0)) "same element as set/get" 42.0
+    (Tensor.get t [ 2; 3 ]);
+  Alcotest.(check (float 0.0)) "zero elsewhere" 0.0 (Tensor.get_a t [| 3; 2 |]);
+  let diagnostic f =
+    match f () with () -> "ok" | exception Invalid_argument m -> m
+  in
+  List.iter
+    (fun idx ->
+      Alcotest.(check string)
+        (String.concat "," (List.map string_of_int idx))
+        (diagnostic (fun () -> Tensor.set t idx 1.0))
+        (diagnostic (fun () -> Tensor.set_a t (Array.of_list idx) 1.0)))
+    [
+      [ 0; 1 ]; [ 4; 1 ]; [ 1; 0 ]; [ 1; 5 ]; [ 1 ]; [ 9 ]; [ 1; 1; 1 ];
+      [ 1; 9; 1 ]; [ 9; 1; 1 ]; [ 1; 1; 9 ];
+    ];
+  Alcotest.(check string) "out-of-bounds text"
+    "Tensor: index 5 out of bounds 1..4 in dim 2"
+    (diagnostic (fun () -> Tensor.set_a t [| 1; 5 |] 1.0));
+  Alcotest.(check string) "rank text" "Tensor: rank mismatch"
+    (diagnostic (fun () -> Tensor.set_a t [| 1 |] 1.0));
+  Alcotest.(check (float 0.0)) "failed stores wrote nothing" 42.0
+    (Tensor.get t [ 2; 3 ])
+
 let test_init () =
   let t = Tensor.init [ 2; 3 ] (function [ i; j ] -> float_of_int ((10 * i) + j) | _ -> 0.0) in
   Alcotest.(check (float 0.0)) "init value" 23.0 (Tensor.get t [ 2; 3 ])
@@ -160,6 +191,7 @@ let () =
         [
           Alcotest.test_case "create/get/set" `Quick test_create_get_set;
           Alcotest.test_case "bounds checking" `Quick test_bounds;
+          Alcotest.test_case "set_a" `Quick test_set_a;
           Alcotest.test_case "init" `Quick test_init;
           Alcotest.test_case "extract/blit" `Quick test_extract_blit_roundtrip;
           Alcotest.test_case "equal/max_diff" `Quick test_equal_max_diff;
