@@ -488,6 +488,140 @@ let test_seq_digests () =
     (Xdp_apps.Reduce.build ~n:12 ~nprocs:4 ~stage:Xdp_apps.Reduce.Sequential
        ())
 
+(* ---- dlstack elaboration golden: the IL every placement elaborates
+   to, hashed over [Pp.program_to_string], and the annealed winner at
+   two configurations.  The elaborator and the estimator both read
+   one description of each communication; a drift here means the
+   programs themselves changed, not just their description. *)
+
+module Space = Xdp_search.Space
+
+let dlstack_il_digest cfg pls =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun pl ->
+      Printf.bprintf b "%s %s\n" (Space.key pl)
+        (Digest.to_hex
+           (Digest.string
+              (Xdp.Pp.program_to_string (Xdp_apps.Dlstack.build cfg pl)))))
+    pls;
+  (List.length pls, Digest.to_hex (Digest.string (Buffer.contents b)))
+
+let uniform_placements cfg =
+  List.concat_map
+    (fun (dp, pp) ->
+      List.concat_map
+        (fun act ->
+          List.concat_map
+            (fun wgt ->
+              List.filter_map
+                (fun gsum -> Space.uniform cfg ~dp ~pp act wgt gsum)
+                [ Space.Tree; Space.Allgather ])
+            [ Space.Wshard; Space.Wrepl ])
+        [ Space.Row; Space.Col; Space.Repl ])
+    (Space.meshes cfg)
+
+(* test_search's mixed-activation pipelines: every transfer kind *)
+let mixed_placements () =
+  List.concat_map
+    (fun (a1, a2, a3) ->
+      List.map
+        (fun stages ->
+          let acts = [| a1; a2; a3 |] in
+          Space.normalize
+            {
+              Space.dp = 2;
+              pp = 2;
+              layers =
+                Array.init 3 (fun k ->
+                    {
+                      Space.stage = stages.(k);
+                      act = acts.(k);
+                      wgt = Space.Wrepl;
+                      gsum = Space.Tree;
+                    });
+            })
+        [ [| 0; 0; 1 |]; [| 0; 1; 1 |] ])
+    [
+      (Space.Row, Space.Col, Space.Repl);
+      (Space.Col, Space.Repl, Space.Row);
+      (Space.Repl, Space.Row, Space.Col);
+      (Space.Col, Space.Row, Space.Repl);
+    ]
+
+(* the naive and hand anchors under every --shard/--wshard override,
+   resolved the way xdpc and the batch service resolve them *)
+let override_placements () =
+  List.concat_map
+    (fun placement ->
+      List.concat_map
+        (fun shard ->
+          List.filter_map
+            (fun wshard ->
+              let spec =
+                {
+                  Xdp_batch.Manifest.default_spec with
+                  app = "dlstack";
+                  n = 32;
+                  procs = 4;
+                  dim = 8;
+                  layers = 3;
+                  placement;
+                  shard;
+                  wshard;
+                }
+              in
+              Result.to_option (Xdp_batch.Workload.dlstack_placement spec))
+            [ ""; "shard"; "repl" ])
+        [ ""; "row"; "col"; "repl" ])
+    [ "naive"; "hand" ]
+
+let test_dlstack_il_digests () =
+  let check name cfg pls (count, digest) =
+    Alcotest.(check (pair int string))
+      (name ^ ": programs, IL digest") (count, digest)
+      (dlstack_il_digest cfg pls)
+  in
+  let small = { Space.procs = 4; batch = 8; dim = 4; nlayers = 3 } in
+  let wide = { Space.procs = 8; batch = 16; dim = 8; nlayers = 3 } in
+  let campaign = { Space.procs = 4; batch = 32; dim = 8; nlayers = 3 } in
+  check "uniform P4 B8 D4 L3" small (uniform_placements small)
+    (24, "dff5395c40e1eb6eb0fd4ca903b167e3");
+  check "uniform P8 B16 D8 L3" wide (uniform_placements wide)
+    (24, "a2e0cdbc9393902db2e1d6de36863d82");
+  check "mixed pipelines P4 B8 D4 L3" small (mixed_placements ())
+    (8, "f99de6d146fc9f280c1c4dee59f9f0dc");
+  check "anchor overrides P4 B32 D8 L3" campaign (override_placements ())
+    (24, "d7556bd31f9ad0e031db1e973f58655f")
+
+let test_dlstack_search_winners () =
+  let check cfg expected =
+    let r =
+      Xdp_search.Anneal.search ~params:Xdp_search.Estimate.default_params cfg
+        Xdp_search.Anneal.default_options
+    in
+    let s = r.Xdp_search.Anneal.best_summary in
+    let c = s.Space.comm in
+    Alcotest.(check string)
+      (Printf.sprintf "winner at P%d B%d D%d L%d" cfg.Space.procs
+         cfg.Space.batch cfg.Space.dim cfg.Space.nlayers)
+      expected
+      (Printf.sprintf "%s msgs=%d elems=%d bytes=%d compute=%d est=%h eval=%d/%d"
+         (Space.key r.Xdp_search.Anneal.best)
+         c.Xdp_search.Estimate.msgs c.Xdp_search.Estimate.payload_elems
+         c.Xdp_search.Estimate.wire_bytes s.Space.compute_elems
+         s.Space.est_makespan r.Xdp_search.Anneal.evaluated
+         r.Xdp_search.Anneal.seeded)
+  in
+  check
+    { Space.procs = 4; batch = 32; dim = 8; nlayers = 3 }
+    "dp4.pp1:rwt0,rwt0,rwt0 msgs=18 elems=144 bytes=1152 compute=408 \
+     est=0x1.95cp+13 eval=974/14";
+  check
+    { Space.procs = 64; batch = 128; dim = 64; nlayers = 6 }
+    "dp16.pp4:cst0,cst0,cst0,cst0,cst0,cst0 msgs=2048 elems=16384 \
+     bytes=131072 compute=6168 est=0x1.4e1ep+18 eval=981/21"
+
 let () =
   Alcotest.run "golden"
     [
@@ -509,6 +643,10 @@ let () =
             test_redist_schedule_digest;
           Alcotest.test_case "sequential reference digests" `Quick
             test_seq_digests;
+          Alcotest.test_case "dlstack IL digests" `Quick
+            test_dlstack_il_digests;
+          Alcotest.test_case "dlstack search winners" `Quick
+            test_dlstack_search_winners;
         ] );
       ( "paper listings",
         [
