@@ -22,6 +22,19 @@ let init name idx =
 
 (* ------------------------------------------------------------------ *)
 
+(* An endpoint group as the IL addresses it: one stage's data-parallel
+   peers, or the whole machine. *)
+type group = {
+  guard : Xdp.Ir.stmt list -> Xdp.Ir.stmt list;  (** run on the members *)
+  own : Xdp.Ir.expr;  (** my 1-based index in the group *)
+  own0 : Xdp.Ir.expr;  (** the same, 0-based *)
+  var : string;  (** loop variable over the members *)
+  pid : Xdp.Ir.expr -> Xdp.Ir.expr;
+  rows : Xdp.Ir.expr -> Xdp.Ir.dim_sel;  (** a member's row block *)
+  cols : Xdp.Ir.expr -> Xdp.Ir.dim_sel;  (** a member's feature block *)
+  slot : Xdp.Ir.expr list;  (** the stage index of stage-held arrays *)
+}
+
 let build (cfg : Space.config) (pl : Space.placement) =
   (match Space.validate cfg pl with
   | Ok () -> ()
@@ -31,51 +44,153 @@ let build (cfg : Space.config) (pl : Space.placement) =
   and d = cfg.dim
   and nl = cfg.nlayers in
   let dp = pl.dp and pp = pl.pp in
-  let bpd = bsz / dp and bpp = bsz / p and ppd = p / dp in
+  let bpd = bsz / dp and bpp = bsz / p in
   (* feature blocks exist only when a Col/Wshard spec forced dim|dp *)
   let dpd = if d mod dp = 0 then d / dp else 0 in
   let mesh = Grid.make [ pp; dp ] and machine = Grid.make [ p ] in
-  let xn l = "X" ^ string_of_int l
-  and cn l = "C" ^ string_of_int l
-  and wn l = "W" ^ string_of_int l
-  and wcn l = "WC" ^ string_of_int l
-  and gpn l = "GP" ^ string_of_int l
-  and grn l = "GR" ^ string_of_int l
-  and gtn l = "GT" ^ string_of_int l
-  and gbn l = "GB" ^ string_of_int l
-  and gan l = "GA" ^ string_of_int l
-  and gsn l = "GS" ^ string_of_int l in
-  let spec l = pl.layers.(l - 1) in
+  let name prefix l = prefix ^ string_of_int l in
   (* mesh coordinates: pid = stage * dp + peer, peers 1-based *)
   let c0 s = mypid -: i ((s * dp) + 1) in
   let cpeer s = c0 s +: i 1 in
   let in_stage s body =
     ((mypid >=: i ((s * dp) + 1)) &&: (mypid <=: i ((s + 1) * dp))) @: body
   in
-  let pid_of s qv = i (s * dp) +: qv in
   let rows_of qv = slice (((qv -: i 1) *: i bpd) +: i 1) (qv *: i bpd) in
   let cols_of qv = slice (((qv -: i 1) *: i dpd) +: i 1) (qv *: i dpd) in
-  let myrows s = rows_of (cpeer s) and mycols s = cols_of (cpeer s) in
+  let mrows_of mv = slice (((mv -: i 1) *: i bpp) +: i 1) (mv *: i bpp) in
   let rlo s = (c0 s *: i bpd) +: i 1 and rhi s = cpeer s *: i bpd in
   let clo s = (c0 s *: i dpd) +: i 1 and chi s = cpeer s *: i dpd in
-  let mrows_of mv = slice (((mv -: i 1) *: i bpp) +: i 1) (mv *: i bpp) in
-  let machine_rows = mrows_of mypid in
   let mlo = ((mypid -: i 1) *: i bpp) +: i 1 and mhi = mypid *: i bpp in
   let iv = var "ii" and jv = var "jj" and qv = var "q" in
 
-  (* ---------------- declarations ---------------- *)
-  let input_needed l =
-    if l = 1 then not (Space.entry_elided cfg pl)
-    else not (Space.transfer_elided ~src:(spec (l - 1)) ~dst:(spec l))
+  (* ---------------- rendering Space.comm descriptors ---------------- *)
+  let group (sd : Space.side) =
+    match sd.group with
+    | Some s ->
+        {
+          guard = (fun body -> [ in_stage s body ]);
+          own = cpeer s;
+          own0 = c0 s;
+          var = "q";
+          pid = (fun qv -> i (s * dp) +: qv);
+          rows = rows_of;
+          cols = cols_of;
+          slot = [ i (s + 1) ];
+        }
+    | None ->
+        {
+          guard = Fun.id;
+          own = mypid;
+          own0 = mypid -: i 1;
+          var = "m";
+          pid = Fun.id;
+          rows = mrows_of;
+          cols = (fun _ -> all);
+          slot = [];
+        }
   in
+  (* the indices naming member [m]'s copy, before the data dimensions *)
+  let prefix g (sd : Space.side) m =
+    g.slot @ if sd.indexed then [ m ] else []
+  in
+  let section arr g sd m dims = sec arr (List.map at (prefix g sd m) @ dims) in
+  let read arr g sd m iv jv = elem arr (prefix g sd m @ [ iv; jv ]) in
+  let own_block arr g (sd : Space.side) =
+    section arr g sd g.own
+      [
+        (if sd.rows then g.rows g.own else all);
+        (if sd.cols then g.cols g.own else all);
+      ]
+  in
+  (* the piece a message from sender [sv] to receiver [rv] carries *)
+  let block gs gd ~sv ~rv sel = function
+    | Space.Src_block -> sel gs sv
+    | Space.Dst_block -> sel gd rv
+    | Space.Whole -> all
+  in
+  (* Activations: the senders' statements, then the receivers'.  Each
+     side names its one partner or loops over its partners. *)
+  let transfer (c : Space.comm) src dst =
+    let gs = group c.src and gd = group c.dst in
+    let ns = c.src.peers and nd = c.dst.peers in
+    let to_, from_ =
+      match c.pattern with
+      | Space.All_pairs ->
+          ( `Loop (gd.var, i 1, i nd, var gd.var),
+            `Loop (gs.var, i 1, i ns, var gs.var) )
+      | _ when ns = nd -> (`One gs.own, `One gd.own)
+      | _ when ns > nd ->
+          (* each receiver's block holds [r] senders' blocks *)
+          let r = ns / nd in
+          let fine = (gd.own0 *: i r) +: i 1 in
+          ( `One ((gs.own0 /: i r) +: i 1),
+            `Loop (gs.var, fine, gd.own *: i r, var gs.var) )
+      | _ when c.src.indexed ->
+          (* replica q serves the receivers congruent to q mod ns *)
+          let r = nd / ns in
+          ( `Loop ("k", i 1, i r, ((var "k" -: i 1) *: i ns) +: gs.own),
+            `One ((gd.own0 %: i ns) +: i 1) )
+      | _ ->
+          (* each sender's block holds [r] receivers' blocks *)
+          let r = nd / ns in
+          let fine = (gs.own0 *: i r) +: i 1 in
+          ( `Loop (gd.var, fine, gs.own *: i r, var gd.var),
+            `One ((gd.own0 /: i r) +: i 1) )
+    in
+    let over ps f =
+      match ps with
+      | `One e -> f e
+      | `Loop (v, lo, hi, e) -> loop v lo hi [ f e ]
+    in
+    let pr, pc = Space.pieces c in
+    let piece ~sv ~rv =
+      [
+        block gs gd ~sv ~rv (fun g -> g.rows) pr;
+        block gs gd ~sv ~rv (fun g -> g.cols) pc;
+      ]
+    in
+    let from sv rv = section src gs c.src sv (piece ~sv ~rv) in
+    gs.guard [ over to_ (fun rv -> send_to (from gs.own rv) [ gd.pid rv ]) ]
+    @ gd.guard
+        [
+          over from_ (fun sv ->
+              recv
+                ~into:(section dst gd c.dst gd.own (piece ~sv ~rv:gd.own))
+                ~from:(from sv gd.own));
+        ]
+  in
+  (* Vectors among one stage's peers, every q <> me: pieces of [src]
+     land in [buf] under the receiver's index, and under the sender's
+     too when [per_sender]. *)
+  let exchange (c : Space.comm) src buf ~per_sender =
+    let g = group c.src in
+    let _, pc = Space.pieces c in
+    let piece ~sv ~rv = block g g ~sv ~rv (fun g -> g.cols) pc in
+    let from sv rv = section src g c.src sv [ piece ~sv ~rv ] in
+    let others body =
+      loop "q" (i 1) (i c.src.peers) [ if_ (qv <>: g.own) body [] ]
+    in
+    [
+      others [ send_to (from g.own qv) [ g.pid qv ] ];
+      others
+        [
+          recv
+            ~into:
+              (section buf g c.dst g.own
+                 ((if per_sender then [ at qv ] else [])
+                 @ [ piece ~sv:qv ~rv:g.own ]))
+            ~from:(from qv g.own);
+        ];
+    ]
+  in
+  let grad_buf l (c : Space.comm) =
+    name (if c.dst.cols then "GS" else "GA") l
+  in
+
+  (* ---------------- declarations ---------------- *)
   let vec3 name =
     decl ~name ~shape:[ pp; dp; d ]
       ~dist:[ Dist.Block; Dist.Block; Dist.Star ]
-      ~grid:mesh ()
-  in
-  let quad4 name =
-    decl ~name ~shape:[ pp; dp; dp; d ]
-      ~dist:[ Dist.Block; Dist.Block; Dist.Star; Dist.Star ]
       ~grid:mesh ()
   in
   let act_decl name = function
@@ -92,709 +207,245 @@ let build (cfg : Space.config) (pl : Space.placement) =
           ~dist:[ Dist.Block; Dist.Block; Dist.Star; Dist.Star ]
           ~grid:mesh ()
   in
-  let decls =
-    ref
-      [
-        decl ~name:"OUT" ~shape:[ bsz; d ]
-          ~dist:[ Dist.Block; Dist.Star ]
-          ~grid:machine ();
-        decl ~name:"IN" ~shape:[ bsz; d ]
-          ~dist:[ Dist.Block; Dist.Star ]
-          ~grid:machine ();
-      ]
+  let machine_decl name =
+    decl ~name ~shape:[ bsz; d ]
+      ~dist:[ Dist.Block; Dist.Star ]
+      ~grid:machine ()
   in
+  let decls = ref [ machine_decl "OUT"; machine_decl "IN" ] in
   let push dl = decls := dl :: !decls in
-  for l = 1 to nl do
-    let sp = spec l in
-    push (act_decl (xn l) sp.act);
-    if input_needed l then push (act_decl (cn l) sp.act);
-    (match sp.wgt with
-    | Space.Wshard ->
-        push
-          (decl ~name:(wn l) ~shape:[ pp; d ]
-             ~dist:[ Dist.Block; Dist.Block ]
-             ~grid:mesh ())
-    | Space.Wrepl -> push (vec3 (wn l)));
-    if sp.wgt = Space.Wshard && sp.act <> Space.Col then push (vec3 (wcn l));
-    push (vec3 (gpn l));
-    if dp > 1 then
-      match (sp.act, sp.wgt, sp.gsum) with
-      | Space.Row, Space.Wrepl, Space.Tree ->
-          (* rooted-tree scratch: partials and the total live on the
-             stage root (a whole-extent block-cyclic dimension) *)
-          push
-            (decl ~name:(grn l) ~shape:[ pp; dp; d ]
-               ~dist:[ Dist.Block; Dist.Block_cyclic dp; Dist.Star ]
-               ~grid:mesh ());
-          push
-            (decl ~name:(gtn l) ~shape:[ pp; d ]
-               ~dist:[ Dist.Block; Dist.Block_cyclic d ]
-               ~grid:mesh ());
-          push (vec3 (gbn l))
-      | Space.Row, Space.Wrepl, Space.Allgather | Space.Col, Space.Wrepl, _
-        ->
-          push (quad4 (gan l))
-      | Space.Row, Space.Wshard, _ -> push (quad4 (gsn l))
-      | _ -> ()
-  done;
-
-  (* ---------------- statements ---------------- *)
   let stmts = ref [] in
   let emit s = stmts := s :: !stmts in
 
-  (* entry: the machine-wide batch-sharded IN reaches layer 1's stage *)
-  let l1 = spec 1 in
-  let s1 = l1.stage in
-  let slot1 = i (s1 + 1) in
-  let entry_reader, entry_await =
-    if Space.entry_elided cfg pl then
-      ((fun iv jv -> elem "IN" [ iv; jv ]), None)
-    else begin
-      (match l1.act with
-      | Space.Row ->
-          emit
-            (send_to
-               (sec "IN" [ machine_rows; all ])
-               [ i (s1 * dp) +: (((mypid -: i 1) /: i ppd) +: i 1) ])
-      | Space.Col ->
-          emit
-            (loop "q" (i 1) (i dp)
-               [
-                 send_to
-                   (sec "IN" [ machine_rows; cols_of qv ])
-                   [ pid_of s1 qv ];
-               ])
-      | Space.Repl ->
-          emit
-            (loop "q" (i 1) (i dp)
-               [ send_to (sec "IN" [ machine_rows; all ]) [ pid_of s1 qv ] ]));
-      let c1 = cn 1 in
-      let mv = var "m" in
-      (match l1.act with
-      | Space.Row ->
-          emit
-            (in_stage s1
-               [
-                 loop "m"
-                   ((c0 s1 *: i ppd) +: i 1)
-                   (cpeer s1 *: i ppd)
-                   [
-                     recv
-                       ~into:(sec c1 [ at slot1; mrows_of mv; all ])
-                       ~from:(sec "IN" [ mrows_of mv; all ]);
-                   ];
-               ])
-      | Space.Col ->
-          emit
-            (in_stage s1
-               [
-                 loop "m" (i 1) (i p)
-                   [
-                     recv
-                       ~into:(sec c1 [ at slot1; mrows_of mv; mycols s1 ])
-                       ~from:(sec "IN" [ mrows_of mv; mycols s1 ]);
-                   ];
-               ])
-      | Space.Repl ->
-          emit
-            (in_stage s1
-               [
-                 loop "m" (i 1) (i p)
-                   [
-                     recv
-                       ~into:
-                         (sec c1
-                            [ at slot1; at (cpeer s1); mrows_of mv; all ])
-                       ~from:(sec "IN" [ mrows_of mv; all ]);
-                   ];
-               ]));
-      let aw =
-        match l1.act with
-        | Space.Row -> sec c1 [ at slot1; myrows s1; all ]
-        | Space.Col -> sec c1 [ at slot1; all; mycols s1 ]
-        | Space.Repl -> sec c1 [ at slot1; at (cpeer s1); all; all ]
-      in
-      let rd iv jv =
-        match l1.act with
-        | Space.Row | Space.Col -> elem c1 [ slot1; iv; jv ]
-        | Space.Repl -> elem c1 [ slot1; cpeer s1; iv; jv ]
-      in
-      (rd, Some aw)
-    end
-  in
-
   for l = 1 to nl do
-    let sp = spec l in
+    let sp = pl.layers.(l - 1) in
     let s = sp.stage in
     let slot = i (s + 1) in
+    let x = name "X" l and w = name "W" l and gp = name "GP" l in
+    let input = Space.boundary cfg pl (l - 1) in
+    let weights = Space.weights cfg pl sp in
+    let gradient = Space.gradient cfg pl sp in
+    let g = group input.dst and act = input.dst in
+
+    push (act_decl x sp.act);
+    if not (Space.local input) then push (act_decl (name "C" l) sp.act);
+    push
+      (match sp.wgt with
+      | Space.Wshard ->
+          decl ~name:w ~shape:[ pp; d ]
+            ~dist:[ Dist.Block; Dist.Block ]
+            ~grid:mesh ()
+      | Space.Wrepl -> vec3 w);
+    if weights <> None then push (vec3 (name "WC" l));
+    push (vec3 gp);
+    (match gradient with
+    | Some { pattern = Space.Rooted; _ } ->
+        (* rooted-tree scratch: partials and the total live on the
+           stage root (a whole-extent block-cyclic dimension) *)
+        push
+          (decl ~name:(name "GR" l) ~shape:[ pp; dp; d ]
+             ~dist:[ Dist.Block; Dist.Block_cyclic dp; Dist.Star ]
+             ~grid:mesh ());
+        push
+          (decl ~name:(name "GT" l) ~shape:[ pp; d ]
+             ~dist:[ Dist.Block; Dist.Block_cyclic d ]
+             ~grid:mesh ());
+        push (vec3 (name "GB" l))
+    | Some c ->
+        push
+          (decl ~name:(grad_buf l c) ~shape:[ pp; dp; dp; d ]
+             ~dist:[ Dist.Block; Dist.Block; Dist.Star; Dist.Star ]
+             ~grid:mesh ())
+    | None -> ());
+
     (* staged-in activations: reader + the await that gates compute *)
+    let src = if l = 1 then "IN" else name "X" (l - 1) in
     let reader, c_await =
-      if l = 1 then (entry_reader, entry_await)
+      if Space.local input then
+        (read src (group input.src) input.src g.own, None)
       else begin
-        let prev = spec (l - 1) in
-        let spv = prev.stage in
-        let slotp = i (spv + 1) in
-        let xp = xn (l - 1) in
-        if Space.transfer_elided ~src:prev ~dst:sp then
-          let rd iv jv =
-            match prev.act with
-            | Space.Repl -> elem xp [ slotp; cpeer s; iv; jv ]
-            | _ -> elem xp [ slotp; iv; jv ]
-          in
-          (rd, None)
-        else begin
-          let c = cn l in
-          let sends, recvs =
-            match (prev.act, sp.act) with
-            | Space.Row, Space.Row ->
-                ( [
-                    send_to
-                      (sec xp [ at slotp; myrows spv; all ])
-                      [ pid_of s (cpeer spv) ];
-                  ],
-                  [
-                    recv
-                      ~into:(sec c [ at slot; myrows s; all ])
-                      ~from:(sec xp [ at slotp; myrows s; all ]);
-                  ] )
-            | Space.Row, Space.Col ->
-                ( [
-                    loop "q" (i 1) (i dp)
-                      [
-                        send_to
-                          (sec xp [ at slotp; myrows spv; cols_of qv ])
-                          [ pid_of s qv ];
-                      ];
-                  ],
-                  [
-                    loop "q" (i 1) (i dp)
-                      [
-                        recv
-                          ~into:(sec c [ at slot; rows_of qv; mycols s ])
-                          ~from:(sec xp [ at slotp; rows_of qv; mycols s ]);
-                      ];
-                  ] )
-            | Space.Row, Space.Repl ->
-                ( [
-                    loop "q" (i 1) (i dp)
-                      [
-                        send_to
-                          (sec xp [ at slotp; myrows spv; all ])
-                          [ pid_of s qv ];
-                      ];
-                  ],
-                  [
-                    loop "q" (i 1) (i dp)
-                      [
-                        recv
-                          ~into:
-                            (sec c
-                               [ at slot; at (cpeer s); rows_of qv; all ])
-                          ~from:(sec xp [ at slotp; rows_of qv; all ]);
-                      ];
-                  ] )
-            | Space.Col, Space.Row ->
-                ( [
-                    loop "q" (i 1) (i dp)
-                      [
-                        send_to
-                          (sec xp [ at slotp; rows_of qv; mycols spv ])
-                          [ pid_of s qv ];
-                      ];
-                  ],
-                  [
-                    loop "q" (i 1) (i dp)
-                      [
-                        recv
-                          ~into:(sec c [ at slot; myrows s; cols_of qv ])
-                          ~from:(sec xp [ at slotp; myrows s; cols_of qv ]);
-                      ];
-                  ] )
-            | Space.Col, Space.Col ->
-                ( [
-                    send_to
-                      (sec xp [ at slotp; all; mycols spv ])
-                      [ pid_of s (cpeer spv) ];
-                  ],
-                  [
-                    recv
-                      ~into:(sec c [ at slot; all; mycols s ])
-                      ~from:(sec xp [ at slotp; all; mycols s ]);
-                  ] )
-            | Space.Col, Space.Repl ->
-                ( [
-                    loop "q" (i 1) (i dp)
-                      [
-                        send_to
-                          (sec xp [ at slotp; all; mycols spv ])
-                          [ pid_of s qv ];
-                      ];
-                  ],
-                  [
-                    loop "q" (i 1) (i dp)
-                      [
-                        recv
-                          ~into:
-                            (sec c
-                               [ at slot; at (cpeer s); all; cols_of qv ])
-                          ~from:(sec xp [ at slotp; all; cols_of qv ]);
-                      ];
-                  ] )
-            | Space.Repl, Space.Row ->
-                ( [
-                    send_to
-                      (sec xp [ at slotp; at (cpeer spv); myrows spv; all ])
-                      [ pid_of s (cpeer spv) ];
-                  ],
-                  [
-                    recv
-                      ~into:(sec c [ at slot; myrows s; all ])
-                      ~from:
-                        (sec xp [ at slotp; at (cpeer s); myrows s; all ]);
-                  ] )
-            | Space.Repl, Space.Col ->
-                ( [
-                    send_to
-                      (sec xp [ at slotp; at (cpeer spv); all; mycols spv ])
-                      [ pid_of s (cpeer spv) ];
-                  ],
-                  [
-                    recv
-                      ~into:(sec c [ at slot; all; mycols s ])
-                      ~from:
-                        (sec xp [ at slotp; at (cpeer s); all; mycols s ]);
-                  ] )
-            | Space.Repl, Space.Repl ->
-                ( [
-                    send_to
-                      (sec xp [ at slotp; at (cpeer spv); all; all ])
-                      [ pid_of s (cpeer spv) ];
-                  ],
-                  [
-                    recv
-                      ~into:(sec c [ at slot; at (cpeer s); all; all ])
-                      ~from:(sec xp [ at slotp; at (cpeer s); all; all ]);
-                  ] )
-          in
-          emit (in_stage spv sends);
-          emit (in_stage s recvs);
-          let aw =
-            match sp.act with
-            | Space.Row -> sec c [ at slot; myrows s; all ]
-            | Space.Col -> sec c [ at slot; all; mycols s ]
-            | Space.Repl -> sec c [ at slot; at (cpeer s); all; all ]
-          in
-          let rd iv jv =
-            match sp.act with
-            | Space.Row | Space.Col -> elem c [ slot; iv; jv ]
-            | Space.Repl -> elem c [ slot; cpeer s; iv; jv ]
-          in
-          (rd, Some aw)
-        end
+        let c = name "C" l in
+        List.iter emit (transfer input src c);
+        (read c g act g.own, Some (own_block c g act))
       end
     in
 
-    (* sharded weights under a non-Col spec: allgather the blocks *)
+    (* weights the forward reads whole: allgather, own block copied *)
     let wc_await =
-      if not (sp.wgt = Space.Wshard && sp.act <> Space.Col) then None
-      else begin
-        let w = wn l and wc = wcn l in
-        emit
-          (in_stage s
-             [
-               loop "q" (i 1) (i dp)
-                 [
-                   if_
-                     (qv <>: cpeer s)
-                     [ send_to (sec w [ at slot; mycols s ]) [ pid_of s qv ] ]
-                     [];
-                 ];
-               loop "q" (i 1) (i dp)
-                 [
-                   if_
-                     (qv <>: cpeer s)
-                     [
-                       recv
-                         ~into:(sec wc [ at slot; at (cpeer s); cols_of qv ])
-                         ~from:(sec w [ at slot; cols_of qv ]);
-                     ]
-                     [];
-                 ];
-               loop "jj" (clo s) (chi s)
-                 [ set wc [ slot; cpeer s; jv ] (elem w [ slot; jv ]) ];
-             ]);
-        Some (sec wc [ at slot; at (cpeer s); all ])
-      end
+      match weights with
+      | None -> None
+      | Some wcomm ->
+          let wc = name "WC" l in
+          emit
+            (in_stage s
+               (exchange wcomm w wc ~per_sender:false
+               @ [
+                   loop "jj" (clo s) (chi s)
+                     [ set wc [ slot; cpeer s; jv ] (elem w [ slot; jv ]) ];
+                 ]));
+          Some (sec wc [ at slot; at (cpeer s); all ])
     in
 
     (* forward: X_l = input * W_l + 1, under the staged-in awaits *)
+    let w_idx jv =
+      (slot :: (if sp.wgt = Space.Wrepl then [ cpeer s ] else [])) @ [ jv ]
+    in
     let welem jv =
-      match (sp.wgt, sp.act) with
-      | Space.Wrepl, _ -> elem (wn l) [ slot; cpeer s; jv ]
-      | Space.Wshard, Space.Col -> elem (wn l) [ slot; jv ]
-      | Space.Wshard, _ -> elem (wcn l) [ slot; cpeer s; jv ]
+      if weights = None then elem w (w_idx jv)
+      else elem (name "WC" l) [ slot; cpeer s; jv ]
     in
-    let cell = (reader iv jv *: welem jv) +: f 1.0 in
+    let rows_lo, rows_hi = if act.rows then (rlo s, rhi s) else (i 1, i bsz) in
+    let cols_lo, cols_hi = if act.cols then (clo s, chi s) else (i 1, i d) in
+    let x_idx iv jv = prefix g act g.own @ [ iv; jv ] in
     let fwd =
-      match sp.act with
-      | Space.Row ->
-          [
-            loop "ii" (rlo s) (rhi s)
-              [ loop "jj" (i 1) (i d) [ set (xn l) [ slot; iv; jv ] cell ] ];
-          ]
-      | Space.Col ->
-          [
-            loop "ii" (i 1) (i bsz)
-              [
-                loop "jj" (clo s) (chi s) [ set (xn l) [ slot; iv; jv ] cell ];
-              ];
-          ]
-      | Space.Repl ->
-          [
-            loop "ii" (i 1) (i bsz)
-              [
-                loop "jj" (i 1) (i d)
-                  [ set (xn l) [ slot; cpeer s; iv; jv ] cell ];
-              ];
-          ]
-    in
-    let fwd = match c_await with None -> fwd | Some aw -> [ await aw @: fwd ] in
-    let fwd =
-      match wc_await with None -> fwd | Some aw -> [ await aw @: fwd ]
-    in
-    emit (in_stage s fwd);
-
-    (* gradient partial: column sums of the local activation block *)
-    let x_read =
-      match sp.act with
-      | Space.Repl -> elem (xn l) [ slot; cpeer s; iv; jv ]
-      | _ -> elem (xn l) [ slot; iv; jv ]
-    in
-    let accum ii_lo ii_hi =
       [
-        setv "g" (f 0.0);
-        loop "ii" ii_lo ii_hi [ setv "g" (var "g" +: x_read) ];
-        set (gpn l) [ slot; cpeer s; jv ] (var "g");
+        loop "ii" rows_lo rows_hi
+          [
+            loop "jj" cols_lo cols_hi
+              [ set x (x_idx iv jv) ((reader iv jv *: welem jv) +: f 1.0) ];
+          ];
       ]
     in
-    let gpart =
-      match sp.act with
-      | Space.Row -> [ loop "jj" (i 1) (i d) (accum (rlo s) (rhi s)) ]
-      | Space.Col -> [ loop "jj" (clo s) (chi s) (accum (i 1) (i bsz)) ]
-      | Space.Repl -> [ loop "jj" (i 1) (i d) (accum (i 1) (i bsz)) ]
+    let gated aw body =
+      match aw with None -> body | Some aw -> [ await aw @: body ]
     in
-    emit (in_stage s gpart);
+    emit (in_stage s (gated wc_await (gated c_await fwd)));
+
+    (* gradient partial: column sums of the local activation block *)
+    emit
+      (in_stage s
+         [
+           loop "jj" cols_lo cols_hi
+             [
+               setv "g" (f 0.0);
+               loop "ii" rows_lo rows_hi
+                 [ setv "g" (var "g" +: elem x (x_idx iv jv)) ];
+               set gp [ slot; cpeer s; jv ] (var "g");
+             ];
+         ]);
 
     (* gradient allreduce + weight update *)
-    let gp = gpn l in
-    let w_add idx grad = set (wn l) idx (elem (wn l) idx +: (f eta *: grad)) in
+    let w_add idx grad = set w idx (elem w idx +: (f eta *: grad)) in
+    let mine jv = elem gp [ slot; cpeer s; jv ] in
+    let own_lo, own_hi =
+      if sp.wgt = Space.Wshard then (clo s, chi s) else (i 1, i d)
+    in
     let upd =
-      if dp = 1 then
-        match sp.wgt with
-        | Space.Wshard ->
-            [
-              loop "jj" (clo s) (chi s)
-                [ w_add [ slot; jv ] (elem gp [ slot; cpeer s; jv ]) ];
-            ]
-        | Space.Wrepl ->
-            [
-              loop "jj" (i 1) (i d)
-                [ w_add [ slot; cpeer s; jv ] (elem gp [ slot; cpeer s; jv ]) ];
-            ]
-      else
-        match (sp.act, sp.wgt, sp.gsum) with
-        | Space.Repl, Space.Wrepl, _ ->
-            (* replicated partials are already total *)
-            [
-              loop "jj" (i 1) (i d)
-                [ w_add [ slot; cpeer s; jv ] (elem gp [ slot; cpeer s; jv ]) ];
-            ]
-        | (Space.Repl | Space.Col), Space.Wshard, _ ->
-            (* the owned feature block's partial is total *)
-            [
-              loop "jj" (clo s) (chi s)
-                [ w_add [ slot; jv ] (elem gp [ slot; cpeer s; jv ]) ];
-            ]
-        | Space.Col, Space.Wrepl, _ ->
-            (* disjoint feature blocks: allgather concatenates *)
-            let ga = gan l in
-            [
-              loop "q" (i 1) (i dp)
+      match gradient with
+      | None -> [ loop "jj" own_lo own_hi [ w_add (w_idx jv) (mine jv) ] ]
+      | Some { pattern = Space.Rooted; _ } ->
+          (* rooted tree: reduce to the stage root, broadcast back *)
+          let gr = name "GR" l and gt = name "GT" l and gb = name "GB" l in
+          let root = (s * dp) + 1 in
+          let is_root = mypid =: i root in
+          [
+            if_ is_root
+              [
+                loop "q" (i 2) (i dp)
+                  [
+                    recv
+                      ~into:(sec gr [ at slot; at qv; all ])
+                      ~from:(sec gp [ at slot; at qv; all ]);
+                  ];
+              ]
+              [
+                send_to (sec gp [ at slot; at (cpeer s); all ]) [ i root ];
+                recv
+                  ~into:(sec gb [ at slot; at (cpeer s); all ])
+                  ~from:(sec gt [ at slot; all ]);
+              ];
+            if_ is_root
+              [
+                await (sec gr [ at slot; slice (i 2) (i dp); all ])
+                @: [
+                     loop "jj" (i 1) (i d)
+                       [
+                         setv "g" (elem gp [ slot; i 1; jv ]);
+                         loop "q" (i 2) (i dp)
+                           [ setv "g" (var "g" +: elem gr [ slot; qv; jv ]) ];
+                         set gt [ slot; jv ] (var "g");
+                       ];
+                     loop "q" (i 2) (i dp)
+                       [
+                         send_to (sec gt [ at slot; all ]) [ i (s * dp) +: qv ];
+                       ];
+                     loop "jj" (i 1) (i d)
+                       [ w_add [ slot; i 1; jv ] (elem gt [ slot; jv ]) ];
+                   ];
+              ]
+              [
+                await (sec gb [ at slot; at (cpeer s); all ])
+                @: [
+                     loop "jj" (i 1) (i d)
+                       [ w_add (w_idx jv) (elem gb [ slot; cpeer s; jv ]) ];
+                   ];
+              ];
+          ]
+      | Some c ->
+          let buf = grad_buf l c in
+          let theirs = elem buf [ slot; cpeer s; qv; jv ] in
+          let fold =
+            match Space.pieces c with
+            | _, Space.Src_block ->
+                (* disjoint feature blocks: concatenate *)
+                let blk part =
+                  [
+                    loop "jj"
+                      (((qv -: i 1) *: i dpd) +: i 1)
+                      (qv *: i dpd)
+                      [ w_add (w_idx jv) part ];
+                  ]
+                in
                 [
-                  if_
-                    (qv <>: cpeer s)
-                    [
-                      send_to
-                        (sec gp [ at slot; at (cpeer s); mycols s ])
-                        [ pid_of s qv ];
-                    ]
-                    [];
-                ];
-              loop "q" (i 1) (i dp)
+                  loop "q" (i 1) (i dp)
+                    [ if_ (qv =: cpeer s) (blk (mine jv)) (blk theirs) ];
+                ]
+            | _ ->
+                (* every peer's partial covers the piece: sum them *)
                 [
-                  if_
-                    (qv <>: cpeer s)
+                  loop "jj" own_lo own_hi
                     [
-                      recv
-                        ~into:
-                          (sec ga [ at slot; at (cpeer s); at qv; cols_of qv ])
-                        ~from:(sec gp [ at slot; at qv; cols_of qv ]);
-                    ]
-                    [];
-                ];
-              await (sec ga [ at slot; at (cpeer s); all; all ])
-              @: [
-                   loop "q" (i 1) (i dp)
-                     [
-                       if_
-                         (qv =: cpeer s)
-                         [
-                           loop "jj"
-                             (((qv -: i 1) *: i dpd) +: i 1)
-                             (qv *: i dpd)
-                             [
-                               w_add [ slot; cpeer s; jv ]
-                                 (elem gp [ slot; cpeer s; jv ]);
-                             ];
-                         ]
-                         [
-                           loop "jj"
-                             (((qv -: i 1) *: i dpd) +: i 1)
-                             (qv *: i dpd)
-                             [
-                               w_add [ slot; cpeer s; jv ]
-                                 (elem ga [ slot; cpeer s; qv; jv ]);
-                             ];
-                         ];
-                     ];
-                 ];
-            ]
-        | Space.Row, Space.Wshard, _ ->
-            (* reduce-scatter: every peer sums partials for its block *)
-            let gs = gsn l in
-            [
-              loop "q" (i 1) (i dp)
-                [
-                  if_
-                    (qv <>: cpeer s)
-                    [
-                      send_to
-                        (sec gp [ at slot; at (cpeer s); cols_of qv ])
-                        [ pid_of s qv ];
-                    ]
-                    [];
-                ];
-              loop "q" (i 1) (i dp)
-                [
-                  if_
-                    (qv <>: cpeer s)
-                    [
-                      recv
-                        ~into:
-                          (sec gs [ at slot; at (cpeer s); at qv; mycols s ])
-                        ~from:(sec gp [ at slot; at qv; mycols s ]);
-                    ]
-                    [];
-                ];
-              await (sec gs [ at slot; at (cpeer s); all; mycols s ])
-              @: [
-                   loop "jj" (clo s) (chi s)
-                     [
-                       setv "g" (elem gp [ slot; cpeer s; jv ]);
-                       loop "q" (i 1) (i dp)
-                         [
-                           if_
-                             (qv <>: cpeer s)
-                             [
-                               setv "g"
-                                 (var "g" +: elem gs [ slot; cpeer s; qv; jv ]);
-                             ]
-                             [];
-                         ];
-                       w_add [ slot; jv ] (var "g");
-                     ];
-                 ];
-            ]
-        | Space.Row, Space.Wrepl, Space.Allgather ->
-            (* symmetric: every peer folds every partial *)
-            let ga = gan l in
-            [
-              loop "q" (i 1) (i dp)
-                [
-                  if_
-                    (qv <>: cpeer s)
-                    [
-                      send_to
-                        (sec gp [ at slot; at (cpeer s); all ])
-                        [ pid_of s qv ];
-                    ]
-                    [];
-                ];
-              loop "q" (i 1) (i dp)
-                [
-                  if_
-                    (qv <>: cpeer s)
-                    [
-                      recv
-                        ~into:(sec ga [ at slot; at (cpeer s); at qv; all ])
-                        ~from:(sec gp [ at slot; at qv; all ]);
-                    ]
-                    [];
-                ];
-              await (sec ga [ at slot; at (cpeer s); all; all ])
-              @: [
-                   loop "jj" (i 1) (i d)
-                     [
-                       setv "g" (elem gp [ slot; cpeer s; jv ]);
-                       loop "q" (i 1) (i dp)
-                         [
-                           if_
-                             (qv <>: cpeer s)
-                             [
-                               setv "g"
-                                 (var "g" +: elem ga [ slot; cpeer s; qv; jv ]);
-                             ]
-                             [];
-                         ];
-                       w_add [ slot; cpeer s; jv ] (var "g");
-                     ];
-                 ];
-            ]
-        | Space.Row, Space.Wrepl, Space.Tree ->
-            (* rooted tree: reduce to the stage root, broadcast back *)
-            let gr = grn l and gt = gtn l and gb = gbn l in
-            let root = (s * dp) + 1 in
-            let is_root = mypid =: i root in
-            [
-              if_ is_root
-                [
-                  loop "q" (i 2) (i dp)
-                    [
-                      recv
-                        ~into:(sec gr [ at slot; at qv; all ])
-                        ~from:(sec gp [ at slot; at qv; all ]);
+                      setv "g" (mine jv);
+                      loop "q" (i 1) (i dp)
+                        [
+                          if_ (qv <>: cpeer s)
+                            [ setv "g" (var "g" +: theirs) ]
+                            [];
+                        ];
+                      w_add (w_idx jv) (var "g");
                     ];
                 ]
-                [
-                  send_to (sec gp [ at slot; at (cpeer s); all ]) [ i root ];
-                  recv
-                    ~into:(sec gb [ at slot; at (cpeer s); all ])
-                    ~from:(sec gt [ at slot; all ]);
-                ];
-              if_ is_root
-                [
-                  await (sec gr [ at slot; slice (i 2) (i dp); all ])
-                  @: [
-                       loop "jj" (i 1) (i d)
-                         [
-                           setv "g" (elem gp [ slot; i 1; jv ]);
-                           loop "q" (i 2) (i dp)
-                             [ setv "g" (var "g" +: elem gr [ slot; qv; jv ]) ];
-                           set gt [ slot; jv ] (var "g");
-                         ];
-                       loop "q" (i 2) (i dp)
-                         [ send_to (sec gt [ at slot; all ]) [ pid_of s qv ] ];
-                       loop "jj" (i 1) (i d)
-                         [ w_add [ slot; i 1; jv ] (elem gt [ slot; jv ]) ];
-                     ];
-                ]
-                [
-                  await (sec gb [ at slot; at (cpeer s); all ])
-                  @: [
-                       loop "jj" (i 1) (i d)
-                         [
-                           w_add [ slot; cpeer s; jv ]
-                             (elem gb [ slot; cpeer s; jv ]);
-                         ];
-                     ];
-                ];
+          in
+          exchange c gp buf ~per_sender:true
+          @ [
+              await
+                (sec buf
+                   [
+                     at slot;
+                     at (cpeer s);
+                     all;
+                     (if c.dst.cols then cols_of (cpeer s) else all);
+                   ])
+              @: fold;
             ]
     in
     emit (in_stage s upd)
   done;
 
   (* exit: the last layer's activations land in the machine-wide OUT *)
-  let ll = spec nl in
-  let sl = ll.stage in
-  let slotl = i (sl + 1) in
-  let xl = xn nl in
-  if Space.exit_elided cfg pl then (
-    match ll.act with
-    | Space.Row ->
-        emit
-          (loop "ii" mlo mhi
-             [
-               loop "jj" (i 1) (i d)
-                 [ set "OUT" [ iv; jv ] (elem xl [ slotl; iv; jv ]) ];
-             ])
-    | Space.Repl ->
-        emit
-          (loop "ii" mlo mhi
-             [
-               loop "jj" (i 1) (i d)
-                 [ set "OUT" [ iv; jv ] (elem xl [ slotl; mypid; iv; jv ]) ];
-             ])
-    | Space.Col -> assert false (* exit_elided never holds for Col *))
+  let out = Space.boundary cfg pl nl in
+  let gs = group out.src and gd = group out.dst in
+  let xl = name "X" nl in
+  if Space.local out then
+    emit
+      (loop "ii" mlo mhi
+         [
+           loop "jj" (i 1) (i d)
+             [ set "OUT" [ iv; jv ] (read xl gs out.src gd.own iv jv) ];
+         ])
   else begin
-    let mv = var "m" in
-    (match ll.act with
-    | Space.Row ->
-        emit
-          (in_stage sl
-             [
-               loop "m"
-                 ((c0 sl *: i ppd) +: i 1)
-                 (cpeer sl *: i ppd)
-                 [ send_to (sec xl [ at slotl; mrows_of mv; all ]) [ mv ] ];
-             ]);
-        emit
-          (recv
-             ~into:(sec "OUT" [ machine_rows; all ])
-             ~from:(sec xl [ at slotl; machine_rows; all ]))
-    | Space.Col ->
-        emit
-          (in_stage sl
-             [
-               loop "m" (i 1) (i p)
-                 [
-                   send_to
-                     (sec xl [ at slotl; mrows_of mv; mycols sl ])
-                     [ mv ];
-                 ];
-             ]);
-        emit
-          (loop "q" (i 1) (i dp)
-             [
-               recv
-                 ~into:(sec "OUT" [ machine_rows; cols_of qv ])
-                 ~from:(sec xl [ at slotl; machine_rows; cols_of qv ]);
-             ])
-    | Space.Repl ->
-        (* replica c serves machine processors congruent to c mod dp *)
-        let kv = var "k" in
-        let dest = ((kv -: i 1) *: i dp) +: cpeer sl in
-        emit
-          (in_stage sl
-             [
-               loop "k" (i 1) (i ppd)
-                 [
-                   send_to
-                     (sec xl [ at slotl; at (cpeer sl); mrows_of dest; all ])
-                     [ dest ];
-                 ];
-             ]);
-        emit
-          (recv
-             ~into:(sec "OUT" [ machine_rows; all ])
-             ~from:
-               (sec xl
-                  [
-                    at slotl;
-                    at (((mypid -: i 1) %: i dp) +: i 1);
-                    machine_rows;
-                    all;
-                  ])));
-    emit (await (sec "OUT" [ machine_rows; all ]) @: [])
+    List.iter emit (transfer out xl "OUT");
+    emit (await (own_block "OUT" gd out.dst) @: [])
   end;
   program
     ~name:("dlstack-" ^ Space.key pl)
@@ -817,9 +468,9 @@ let grad_total (cfg : Space.config) l j =
   done;
   !s +. float_of_int (cfg.batch * l)
 
+(* Layer [l]'s updated weights, shaped like its [W<l>] declaration;
+   slots of stages the layer does not occupy keep their initial 1.0. *)
 let expected_weights (cfg : Space.config) (pl : Space.placement) l =
-  if l < 1 || l > cfg.nlayers then
-    invalid_arg "Dlstack.expected_weights: layer out of range";
   let sp = pl.layers.(l - 1) in
   let slot = sp.stage + 1 in
   let wexp j = 1.0 +. (eta *. grad_total cfg l j) in

@@ -20,10 +20,13 @@
     which is what lets the differential suite demand bit-identity
     across the whole placement space.
 
-    Communication follows {!Xdp_search.Space}'s case analysis
-    verbatim (the estimator and this elaborator share the elision
-    predicates, and the exactness test pins estimated messages/bytes
-    to executed [Stats]).  All sends are directed; peers post sends
+    Every communication is a {!Xdp_search.Space.comm} descriptor —
+    the activation boundaries ({!Xdp_search.Space.boundary}), the
+    weight allgather and the gradient allreduce — rendered by one
+    transfer emitter (matched or all-pairs), one peer-exchange
+    emitter and the rooted tree; the estimator counts the same
+    descriptors, and the exactness test pins estimated messages/bytes
+    to executed [Stats].  All sends are directed; peers post sends
     before receives and receives before awaits, so elaborated
     programs are deadlock-free by construction. *)
 
@@ -40,17 +43,8 @@ val build : Space.config -> Space.placement -> Xdp.Ir.program
 (** [IN] is [(i + 2j) mod 7], weights start at 1.0, scratch at 0. *)
 val init : string -> int list -> float
 
-val in_val : int -> int -> float
-
-val eta : float
-
 (** The analytic [OUT]: [IN + nlayers]. *)
 val reference : Space.config -> Xdp_util.Tensor.t
-
-(** The analytic updated weight tensor of layer [l] (1-based), shaped
-    like the placement's [W<l>] declaration; slots of stages the
-    layer does not occupy keep their initial 1.0. *)
-val expected_weights : Space.config -> Space.placement -> int -> Xdp_util.Tensor.t
 
 (** Check a finished run: [OUT] and every layer's weights against the
     analytic values, bit-exactly.  [arrays] is the gathered-tensor

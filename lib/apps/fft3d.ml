@@ -11,8 +11,6 @@ let stage_name = function
 
 let all_stages = [ Baseline; Localized; Fused; Pipelined ]
 
-let is_pow2 n = n > 0 && n land (n - 1) = 0
-
 let layout_before ~n ~nprocs =
   Xdp_dist.Layout.make ~shape:[ n; n; n ]
     ~dist:[ Xdp_dist.Dist.Star; Xdp_dist.Dist.Star; Xdp_dist.Dist.Block ]
@@ -24,7 +22,7 @@ let layout_after ~n ~nprocs =
     ~grid:(Xdp_dist.Grid.linear nprocs)
 
 let check ~n ~nprocs ~seg_rows =
-  if not (is_pow2 n) then invalid_arg "Fft3d: n must be a power of two";
+  if not (Xdp_dist.Collective.is_pow2 n) then invalid_arg "Fft3d: n must be a power of two";
   if n mod nprocs <> 0 then invalid_arg "Fft3d: nprocs must divide n";
   if n mod seg_rows <> 0 then invalid_arg "Fft3d: seg_rows must divide n"
 

@@ -30,6 +30,18 @@ let slice lo hi = Slice (lo, hi, Int 1)
 let slice3 lo hi st = Slice (lo, hi, st)
 let sec arr sel = { arr; sel }
 let esec arr idxs = { arr; sel = List.map (fun e -> At e) idxs }
+
+let sel_of_box box =
+  List.map
+    (fun tr ->
+      let open Xdp_util in
+      let lo = Triplet.first tr and hi = Triplet.last tr in
+      if lo = hi then at (i lo)
+      else
+        let st = tr.Triplet.stride in
+        if st = 1 then slice (i lo) (i hi) else slice3 (i lo) (i hi) (i st))
+    (Xdp_util.Box.dims box)
+
 let iown s = Iown s
 let accessible s = Accessible s
 let await s = Await s

@@ -50,6 +50,10 @@ val slice : expr -> expr -> dim_sel
 val slice3 : expr -> expr -> expr -> dim_sel
 val sec : string -> dim_sel list -> section
 
+(** The selectors naming exactly a box: [at] a single index, [slice]
+    (or strided [slice3]) a range — [sec "A" (sel_of_box b)]. *)
+val sel_of_box : Xdp_util.Box.t -> dim_sel list
+
 (** [esec "A" [i]] — section of a single element. *)
 val esec : string -> expr list -> section
 

@@ -13,8 +13,6 @@ let empty = M.empty
 let add r k = M.add k.kname k r
 let find r name = M.find_opt name r
 
-let is_pow2 n = n > 0 && n land (n - 1) = 0
-
 (* Normalized discrete Hartley transform: y[k] = (1/sqrt n) * sum_j
    x[j] * cas(2 pi j k / n) with cas a = cos a + sin a.  Involutive,
    which makes multi-stage FFT pipelines self-checking.
@@ -46,7 +44,8 @@ let cas_table n =
       t
 
 let dht_sub ~buf ~tmp ~off ~stride ~n =
-  if not (is_pow2 n) then invalid_arg "Kernels.dht: length not a power of 2";
+  if not (Xdp_dist.Collective.is_pow2 n) then
+    invalid_arg "Kernels.dht: length not a power of 2";
   let cas = cas_table n in
   let mask = n - 1 in
   let norm = sqrt (float_of_int n) in

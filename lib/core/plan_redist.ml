@@ -1,5 +1,4 @@
 open Build
-open Xdp_util
 open Xdp_dist
 
 type params = {
@@ -154,16 +153,6 @@ let plan ~params ~nprocs ~budget moves =
       (sched, mk_info sched est (nmoves = 0))
 
 (* --- lowering --- *)
-
-let sel_of_box box =
-  List.map
-    (fun tr ->
-      let lo = Triplet.first tr and hi = Triplet.last tr in
-      if lo = hi then at (i lo)
-      else
-        let st = tr.Triplet.stride in
-        if st = 1 then slice (i lo) (i hi) else slice3 (i lo) (i hi) (i st))
-    (Box.dims box)
 
 (* Group a stage's (already sorted) moves by [key], preserving order
    inside each group; groups come out in ascending key order. *)

@@ -2,16 +2,6 @@ open Ir
 open Build
 open Xdp_util
 
-let sel_of_box box =
-  List.map
-    (fun tr ->
-      let lo = Triplet.first tr and hi = Triplet.last tr in
-      if lo = hi then at (i lo)
-      else
-        let st = tr.Triplet.stride in
-        if st = 1 then slice (i lo) (i hi) else slice3 (i lo) (i hi) (i st))
-    (Box.dims box)
-
 let split_by_segments layout seg_shape src box =
   let segs = Xdp_dist.Segment.tile layout ~pid:src ~seg_shape in
   List.filter_map

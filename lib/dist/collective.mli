@@ -37,6 +37,9 @@ type shape =
 val shape_name : shape -> string
 val all_shapes : shape list
 
+(** [n > 0] and a power of two. *)
+val is_pow2 : int -> bool
+
 type schedule = {
   shape : shape;
   window : int;  (** rounds (or destinations) grouped per stage *)

@@ -40,10 +40,6 @@ let grid t = t.grid
 let nprocs t = Grid.nprocs t.grid
 let full_box t = Box.of_shape t.shape
 
-let grid_axis t d =
-  if d < 1 || d > rank t then invalid_arg "Layout.grid_axis: dim range";
-  List.nth t.axes (d - 1)
-
 let dim_info t d =
   (List.nth t.shape (d - 1), List.nth t.dist (d - 1), List.nth t.axes (d - 1))
 

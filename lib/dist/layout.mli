@@ -25,10 +25,6 @@ val nprocs : t -> int
 (** The full index box [1:n1, ..., 1:nk]. *)
 val full_box : t -> Box.t
 
-(** [grid_axis t d] — the 0-based grid axis that (1-based) dimension
-    [d] is mapped to, or [None] for [Star] dimensions. *)
-val grid_axis : t -> int -> int option
-
 (** [owner t idx] — the unique 0-based pid owning global index vector
     [idx]. *)
 val owner : t -> int list -> int

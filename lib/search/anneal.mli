@@ -10,12 +10,11 @@
     Every random draw comes from {!Xdp_util.Prng.stream} keyed by
     [(seed, round, slot)], proposals are generated sequentially and
     {e then} scored, and acceptance replays sequentially — so the
-    result is a pure function of [(config, options)], independent of
-    how [pscore] schedules the scoring (inline, or fanned across the
-    {!Xdp_batch.Pool} Domain workers).  Because the naive and hand
-    anchors are always in the seed population and the incumbent is
-    never lost, the searched estimated cost is [<=] both anchors on
-    every config — the qcheck property in [test/test_search.ml]. *)
+    result is a pure function of [(config, options)].  Because the
+    naive and hand anchors are always in the seed population and the
+    incumbent is never lost, the searched estimated cost is [<=] both
+    anchors on every config — the qcheck property in
+    [test/test_search.ml]. *)
 
 type objective = Bytes  (** endpoint wire bytes, ties on messages *)
               | Makespan  (** the coarse {!Space.summary.est_makespan} *)
@@ -41,15 +40,11 @@ type result = {
   seeded : int;  (** enumeration-phase candidates *)
 }
 
-(** [search ?pscore ~params cfg opts].  [pscore] maps placements to
-    their summaries and defaults to inline {!Space.estimate}; pass a
-    Domain-pool mapper to score each round's proposal batch in
-    parallel (it must be order-preserving and pure, which
-    [Space.estimate] is).
+(** [search ~params cfg opts] scores every candidate with
+    {!Space.estimate}.
     @raise Invalid_argument on an invalid config or non-positive
     [rounds]/[proposals]. *)
 val search :
-  ?pscore:(Space.placement array -> Space.summary array) ->
   params:Estimate.params ->
   Space.config ->
   options ->

@@ -63,33 +63,6 @@ let messages ?(directed = true) p ~count ~elems =
     wire_bytes = cadd "estimate wire bytes" payload_bytes header_bytes;
   }
 
-let of_moves p moves =
-  let bytes =
-    List.fold_left
-      (fun acc m ->
-        cadd "estimate wire bytes" acc
-          (Collective.move_bytes ~elem_bytes:p.elem_bytes
-             ~header_bytes:p.header_bytes m))
-      0 moves
-  in
-  {
-    msgs = List.length moves;
-    payload_elems = Redistribution.volume moves;
-    wire_bytes = bytes;
-  }
-
-let of_schedule p (s : Collective.schedule) =
-  let total =
-    Array.fold_left (fun acc stage -> add acc (of_moves p stage)) zero
-      s.Collective.stages
-  in
-  let est =
-    Collective.estimate ~elem_bytes:p.elem_bytes ~header_bytes:p.header_bytes
-      ~alpha:p.alpha ~beta:p.beta ~send_init:p.send_init
-      ~recv_init:p.recv_init s
-  in
-  (total, est)
-
 let transfer_time p t =
   (float_of_int t.msgs *. (p.send_init +. p.recv_init +. p.alpha))
   +. (float_of_int t.wire_bytes *. p.beta)

@@ -16,8 +16,6 @@
     silently wrapping — placements are scored at P in the thousands
     where naive byte products approach the 2^61 boundary. *)
 
-open Xdp_dist
-
 (** The constants a static estimate depends on — a slice of
     {!Xdp_sim.Costmodel.t} (this library sits below the simulator, so
     callers that have a cost model convert it; everyone else uses
@@ -53,17 +51,6 @@ val scale : int -> t -> t
     per-message header travels.  @raise Invalid_argument on negative
     inputs or overflow. *)
 val messages : ?directed:bool -> params -> count:int -> elems:int -> t
-
-(** Account a redistribution move list: one message per move, bytes
-    via {!Collective.move_bytes}, elements via
-    {!Redistribution.volume}. *)
-val of_moves : params -> Redistribution.move list -> t
-
-(** Account a staged collective schedule (all its stages) and expose
-    the planner's own peak/makespan model alongside — search callers
-    rank with the same {!Collective.estimate} the redistribution
-    planner certifies against measurement. *)
-val of_schedule : params -> Collective.schedule -> t * Collective.estimate
 
 (** Coarse alpha-beta transfer time of a total, serialized:
     [msgs * (send_init + recv_init + alpha) + wire_bytes * beta]. *)

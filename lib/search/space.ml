@@ -165,101 +165,159 @@ let uniform cfg ~dp ~pp act wgt gsum =
   match validate cfg p with Ok () -> Some p | Error _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* Elision predicates, shared verbatim with Dlstack's elaborator.      *)
+(* Communication descriptors: the one description of every movement
+   Dlstack.build emits and [estimate] counts. *)
 
-let entry_elided cfg p =
-  p.pp = 1 && p.dp = cfg.procs && p.layers.(0).act = Row
+type side = {
+  group : int option;
+  peers : int;
+  indexed : bool;
+  rows : bool;
+  cols : bool;
+}
 
-let exit_elided cfg p =
-  let last = p.layers.(Array.length p.layers - 1) in
-  p.pp = 1 && last.stage = 0
-  && (last.act = Repl || (last.act = Row && p.dp = cfg.procs))
+type pattern = Matched | All_pairs | Exchange | Rooted
+type comm = { pattern : pattern; src : side; dst : side; extent : int * int }
+type piece = Src_block | Dst_block | Whole
 
-let transfer_elided ~src ~dst =
-  src.stage = dst.stage && (src.act = dst.act || src.act = Repl)
+let act_side p (l : layer_spec) =
+  {
+    group = Some l.stage;
+    peers = p.dp;
+    indexed = l.act = Repl;
+    rows = l.act = Row;
+    cols = l.act = Col;
+  }
+
+(* IN and OUT: row blocks over the whole machine *)
+let machine_side cfg =
+  {
+    group = None;
+    peers = cfg.procs;
+    indexed = false;
+    rows = true;
+    cols = false;
+  }
+
+let transfer cfg src dst =
+  let matched =
+    src.indexed
+    || (src.indexed = dst.indexed && src.rows = dst.rows && src.cols = dst.cols)
+  in
+  {
+    pattern = (if matched then Matched else All_pairs);
+    src;
+    dst;
+    extent = (cfg.batch, cfg.dim);
+  }
+
+let boundary cfg p k =
+  let side k =
+    if k = 0 || k > Array.length p.layers then machine_side cfg
+    else act_side p p.layers.(k - 1)
+  in
+  transfer cfg (side k) (side (k + 1))
+
+(* the first processor of a side's group is [base + 1] *)
+let base s = match s.group with None -> 0 | Some st -> st * s.peers
+
+let local c =
+  c.pattern = Matched && c.src.peers = c.dst.peers && base c.src = base c.dst
+
+(* A feature vector on layer [l]'s stage: one copy per peer
+   ([indexed]) or one shared, each peer's feature block or all. *)
+let vec_side p (l : layer_spec) ~indexed ~cols =
+  { group = Some l.stage; peers = p.dp; indexed; rows = false; cols }
+
+let vector_comm cfg pattern src dst =
+  { pattern; src; dst; extent = (1, cfg.dim) }
+
+(* The receiver needs features beyond the block the sender holds. *)
+let lacks ~held ~needed = held && not needed
+
+(* The forward reads its own feature block (Col) or every feature. *)
+let weights cfg p l =
+  let held = l.wgt = Wshard and needed = l.act = Col in
+  if lacks ~held ~needed then
+    Some
+      (vector_comm cfg Exchange
+         (vec_side p l ~indexed:false ~cols:held)
+         (vec_side p l ~indexed:true ~cols:needed))
+  else None
+
+(* Column sums of a Row layer are partial (its rows only) until every
+   peer's are summed; a Col layer's are totals on its own features, a
+   Repl layer's on all.  With one peer every partial is total. *)
+let gradient cfg p l =
+  let partial = l.act = Row in
+  let held = l.act = Col and needed = l.wgt = Wshard in
+  if p.dp = 1 || not (partial || lacks ~held ~needed) then None
+  else
+    let rooted = partial && l.wgt = Wrepl && l.gsum = Tree in
+    Some
+      (vector_comm cfg
+         (if rooted then Rooted else Exchange)
+         (vec_side p l ~indexed:true ~cols:held)
+         (vec_side p l ~indexed:true ~cols:needed))
+
+(* Per dimension, a message carries the finer of the two blocks: the
+   intersection of what the sender holds and the receiver needs. *)
+let pick c sb db =
+  if sb && ((not db) || c.src.peers >= c.dst.peers) then Src_block
+  else if db then Dst_block
+  else Whole
+
+let pieces c = (pick c c.src.rows c.dst.rows, pick c c.src.cols c.dst.cols)
+
+let extent c n = function
+  | Src_block -> n / c.src.peers
+  | Dst_block -> n / c.dst.peers
+  | Whole -> n
+
+let count c =
+  let s = c.src.peers and d = c.dst.peers and r, k = c.extent in
+  let msgs =
+    match c.pattern with
+    | Matched -> if s > d then s else d
+    | All_pairs -> s * d
+    | Exchange -> s * (s - 1)
+    | Rooted -> 2 * (s - 1)
+  in
+  let pr, pc = pieces c in
+  (msgs, extent c r pr * extent c k pc)
+
+(* [f] over every movement that moves data, in program order *)
+let fold_comms f acc cfg p =
+  let acc = ref acc in
+  let add c = acc := f !acc c in
+  let activations src dst =
+    let b = transfer cfg src dst in
+    if not (local b) then add b
+  in
+  let last =
+    Array.fold_left
+      (fun src l ->
+        let dst = act_side p l in
+        activations src dst;
+        Option.iter add (weights cfg p l);
+        Option.iter add (gradient cfg p l);
+        dst)
+      (machine_side cfg) p.layers
+  in
+  activations last (machine_side cfg);
+  !acc
 
 (* ------------------------------------------------------------------ *)
-(* The estimator.  One (messages, payload-elements-per-message) pair
-   per communication pattern; Dlstack.build emits exactly these
-   messages (including data-parallel self-messages, which the board
-   delivers like any other), so the totals match executed Stats
-   exactly — the exactness property in test_search.ml pins this. *)
+(* The estimator: Dlstack.build emits exactly the messages of [fold_comms]
+   (including data-parallel self-messages, which the board delivers
+   like any other), so the totals match executed Stats exactly — the
+   exactness property in test_search.ml pins this. *)
 
 type summary = {
   comm : Estimate.t;
   compute_elems : int;
   est_makespan : float;
 }
-
-(* The machine-wide input/output arrays are batch-sharded over all
-   [procs]; every processor ships its block to the consumers that
-   need it (or reads/writes in place when elided). *)
-let entry_op cfg p =
-  let pr = cfg.procs and b = cfg.batch and d = cfg.dim in
-  match p.layers.(0).act with
-  | Row -> (pr, b / pr * d)
-  | Col -> (pr * p.dp, b / pr * (d / p.dp))
-  | Repl -> (pr * p.dp, b / pr * d)
-
-let exit_op cfg p =
-  let pr = cfg.procs and b = cfg.batch and d = cfg.dim in
-  match p.layers.(Array.length p.layers - 1).act with
-  | Row -> (pr, b / pr * d)
-  | Col -> (pr * p.dp, b / pr * (d / p.dp))
-  | Repl -> (pr, b / pr * d)
-
-(* Resharding activations between consecutive layers: a piece per
-   (producer peer, consumer peer) pair that shares data, whether or
-   not the two stages coincide. *)
-let transfer_op cfg p ~src ~dst =
-  let dp = p.dp and b = cfg.batch and d = cfg.dim in
-  match (src.act, dst.act) with
-  | Row, Row -> (dp, b / dp * d)
-  | Row, Col -> (dp * dp, b / dp * (d / dp))
-  | Row, Repl -> (dp * dp, b / dp * d)
-  | Col, Row -> (dp * dp, b / dp * (d / dp))
-  | Col, Col -> (dp, b * (d / dp))
-  | Col, Repl -> (dp * dp, b * (d / dp))
-  | Repl, Row -> (dp, b / dp * d)
-  | Repl, Col -> (dp, b * (d / dp))
-  | Repl, Repl -> (dp, b * d)
-
-(* Sharded weights under a non-Col activation spec: every peer needs
-   the whole weight vector, so peers allgather their blocks (own
-   block copied locally, no self-message). *)
-let allgather_op cfg p (l : layer_spec) =
-  if l.wgt = Wshard && l.act <> Col then
-    Some (p.dp * (p.dp - 1), cfg.dim / p.dp)
-  else None
-
-(* The gradient allreduce; Col partials are disjoint feature blocks
-   (concatenation, not summation), Repl partials are already total. *)
-let grad_ops cfg p (l : layer_spec) =
-  let dp = p.dp and d = cfg.dim in
-  match (l.act, l.wgt, l.gsum) with
-  | Repl, _, _ | Col, Wshard, _ -> []
-  | Col, Wrepl, _ -> [ (dp * (dp - 1), d / dp) ]
-  | Row, Wshard, _ -> [ (dp * (dp - 1), d / dp) ]
-  | Row, Wrepl, Tree -> [ (dp - 1, d); (dp - 1, d) ]
-  | Row, Wrepl, Allgather -> [ (dp * (dp - 1), d) ]
-
-let comm_ops cfg p =
-  let n = Array.length p.layers in
-  let ops = ref [] in
-  let push op = ops := op :: !ops in
-  if not (entry_elided cfg p) then push (entry_op cfg p);
-  for i = 0 to n - 1 do
-    let l = p.layers.(i) in
-    if i > 0 then begin
-      let src = p.layers.(i - 1) in
-      if not (transfer_elided ~src ~dst:l) then
-        push (transfer_op cfg p ~src ~dst:l)
-    end;
-    (match allgather_op cfg p l with Some op -> push op | None -> ());
-    List.iter push (grad_ops cfg p l)
-  done;
-  if not (exit_elided cfg p) then push (exit_op cfg p);
-  List.rev !ops
 
 (* Busiest processor's computed elements: within a stage every peer
    does the same amount, and the pipeline serializes stages. *)
@@ -283,10 +341,11 @@ let estimate params cfg p =
   | Ok () -> ()
   | Error e -> invalid_arg ("Space.estimate: " ^ e));
   let comm =
-    List.fold_left
-      (fun acc (count, elems) ->
+    fold_comms
+      (fun acc c ->
+        let count, elems = count c in
         Estimate.add acc (Estimate.messages params ~count ~elems))
-      Estimate.zero (comm_ops cfg p)
+      Estimate.zero cfg p
   in
   let ce = compute_elems cfg p in
   let est_makespan =

@@ -21,10 +21,10 @@
 
     {!Dlstack.build} elaborates a placement to IL+XDP over existing
     {!Xdp_dist.Layout} distributions; {!estimate} prices it without
-    building the program.  Both follow the same case analysis — the
-    exactness suite in [test/test_search.ml] holds estimated messages
-    and wire bytes {e equal} to the executed [Stats] of the elaborated
-    program, so the estimator can never drift from the semantics. *)
+    building the program.  Both derive from the {!comm} descriptors
+    below — one per movement of data — and the exactness suite in
+    [test/test_search.ml] holds estimated messages and wire bytes
+    {e equal} to the executed [Stats] of the elaborated program. *)
 
 type act = Row | Col | Repl
 type wgt = Wshard | Wrepl
@@ -89,24 +89,67 @@ val meshes : config -> (int * int) list
 val uniform :
   config -> dp:int -> pp:int -> act -> wgt -> gsum -> placement option
 
-(** {2 Elision predicates} — shared verbatim with the elaborator.
+(** {2 Communication descriptors}
 
-    A boundary moves no data when every element a consumer reads is
-    already on that consumer. *)
+    Every movement of data in the elaborated program is one {!comm}:
+    {!Dlstack.build} renders it and {!estimate} counts it, so the two
+    read one description.  A {!side} is what one endpoint's array
+    holds: per dimension, its own block or the whole extent, and
+    whether the array carries a per-peer index (replicas, per-peer
+    partials, receive buffers). *)
 
-(** The machine-wide batch-sharded input can be read in place iff the
-    first layer is a one-stage [Row] over all [procs]. *)
-val entry_elided : config -> placement -> bool
+type side = {
+  group : int option;
+      (** the stage whose peers hold the array; [None]: the whole
+          machine ([IN]/[OUT]) *)
+  peers : int;  (** members holding a block or copy: [dp], or [procs] *)
+  indexed : bool;  (** indexed by peer *)
+  rows : bool;  (** holds only its own row block *)
+  cols : bool;  (** holds only its own feature block *)
+}
 
-(** The machine-wide output can be written in place iff the last
-    layer's stage spans the whole machine and its activations are
-    [Row] over all [procs] or replicated. *)
-val exit_elided : config -> placement -> bool
+type pattern =
+  | Matched
+      (** each receiver's block comes from the peer(s) holding it: the
+          same peer index, or the finer blocks nested in a coarser
+          one, or (from replicas) round-robin *)
+  | All_pairs  (** every sender to every receiver *)
+  | Exchange  (** among one stage's peers, every [q <> me] *)
+  | Rooted  (** reduce to the stage root, broadcast back *)
 
-(** Layer-to-layer activations stay local iff the stages coincide and
-    the consumer's spec needs nothing beyond the producer's local
-    data (same spec, or a replicated producer). *)
-val transfer_elided : src:layer_spec -> dst:layer_spec -> bool
+type comm = {
+  pattern : pattern;
+  src : side;
+  dst : side;
+  extent : int * int;  (** rows x features; a vector has one row *)
+}
+
+(** Per dimension, whose block a message carries: the finer of the
+    sender's and the receiver's, i.e. their intersection. *)
+type piece = Src_block | Dst_block | Whole
+
+(** [boundary cfg p k], [k = 0 .. nlayers]: the activations feeding
+    layer [k + 1], from the machine-wide [IN] at [k = 0], into the
+    machine-wide [OUT] at [k = nlayers].  A transition is [Matched]
+    when both sides lay out the data alike or the sender is
+    replicated, [All_pairs] otherwise. *)
+val boundary : config -> placement -> int -> comm
+
+(** A [Matched] movement between the same processors moves no data:
+    the consumer reads the producer's array in place. *)
+val local : comm -> bool
+
+(** The allgather of sharded weights that a non-[Col] forward reads
+    whole. *)
+val weights : config -> placement -> layer_spec -> comm option
+
+(** The gradient allreduce: [Row] partials are summed ([Rooted] or
+    [Exchange]), [Col] feature blocks concatenated for replicated
+    weights; [None] where every peer already holds its totals. *)
+val gradient : config -> placement -> layer_spec -> comm option
+
+(** (rows, features) pieces of every message of a movement. *)
+val pieces : comm -> piece * piece
 
 (** {2 The estimator} *)
 

@@ -66,9 +66,6 @@ val seg_shape : t -> string -> int list
     paper updates descriptors rather than deleting them). *)
 val segments : t -> string -> seg list
 
-(** Segments whose box intersects [box]. *)
-val segments_covering : t -> string -> Box.t -> seg list
-
 (** {1 Intrinsics (paper Figure 1)} *)
 
 (** [iown t name box] — true iff every element of [box] lies in a
@@ -161,11 +158,6 @@ val generation : t -> int
 (** [read_box t name box] — pack a fully-owned section (row-major box
     order) into a buffer; [write_box] unpacks. *)
 val read_box : t -> string -> Box.t -> float array
-
-val read_box_into : t -> string -> Box.t -> float array -> unit
-(** [read_box_into t name box out] — {!read_box} into a caller-provided
-    buffer of length at least [Box.count box] (the staged engine's
-    allocation-free kernel path). *)
 
 val write_box : t -> string -> Box.t -> float array -> unit
 

@@ -12,7 +12,7 @@
    - ranking placements by estimated bytes agrees with ranking by
      executed bytes as P refines (qcheck property);
    - the search is a pure function of (config, options): same seed
-     twice is identical, and Domain-pool scoring matches inline;
+     twice is identical;
    - overflow-checked totals: estimator arithmetic near the 2^61
      byte boundary raises instead of wrapping. *)
 
@@ -56,8 +56,7 @@ let check_exact cfg pl =
 
 (* ---- exactness: every uniform placement over every mesh ---- *)
 
-let test_exact_uniform () =
-  let cfg = { Space.procs = 4; batch = 8; dim = 4; nlayers = 3 } in
+let exact_uniform cfg =
   let cases = ref 0 in
   List.iter
     (fun (dp, pp) ->
@@ -79,8 +78,20 @@ let test_exact_uniform () =
   (* 12 distinct normalized placements per mesh family exist here;
      guard against the sweep silently shrinking *)
   Alcotest.(check bool)
-    (Printf.sprintf "swept %d uniform cases (>= 16)" !cases)
+    (Printf.sprintf "P%d: swept %d uniform cases (>= 16)" cfg.Space.procs
+       !cases)
     true (!cases >= 16)
+
+(* P=4 sees at most two machine processors per data-parallel peer at
+   entry and exit.  P=8 brings eight peers, and with four layers a
+   four-stage mesh, so four machine processors per peer. *)
+let test_exact_uniform () =
+  List.iter exact_uniform
+    [
+      { Space.procs = 4; batch = 8; dim = 4; nlayers = 3 };
+      { Space.procs = 8; batch = 16; dim = 8; nlayers = 3 };
+      { Space.procs = 8; batch = 16; dim = 8; nlayers = 4 };
+    ]
 
 (* ---- exactness: mixed-activation pipelines (all transfer kinds) ---- *)
 
@@ -248,7 +259,7 @@ let prop_rank_agreement =
           (Space.key a) (Space.key b) est_order (order xa xb);
       true)
 
-(* ---- determinism: pure in (config, options); pool = inline ---- *)
+(* ---- determinism: pure in (config, options) ---- *)
 
 let test_deterministic () =
   let cfg = { Space.procs = 8; batch = 16; dim = 8; nlayers = 3 } in
@@ -260,22 +271,6 @@ let test_deterministic () =
     (Space.key r2.Anneal.best);
   Alcotest.(check int)
     "same seed, same candidate count" r1.Anneal.evaluated r2.Anneal.evaluated;
-  let pooled =
-    let pscore pls =
-      let out = Array.map (fun _ -> (None : Space.summary option)) pls in
-      Xdp_batch.Pool.run ~workers:4 ~njobs:(Array.length pls)
-        ~f:(fun ~worker:_ i -> Space.estimate params cfg pls.(i))
-        ~emit:(fun i s -> out.(i) <- Some s);
-      Array.map (function Some s -> s | None -> assert false) out
-    in
-    Anneal.search ~pscore ~params cfg opts
-  in
-  Alcotest.(check string)
-    "pool scoring = inline scoring" (Space.key r1.Anneal.best)
-    (Space.key pooled.Anneal.best);
-  Alcotest.(check int)
-    "pool scoring, same candidate count" r1.Anneal.evaluated
-    pooled.Anneal.evaluated;
   (* a different seed may move, but never past the anchors *)
   let r3 = Anneal.search ~params cfg { opts with Anneal.seed = 77 } in
   Alcotest.(check bool)
